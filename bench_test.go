@@ -514,7 +514,7 @@ func BenchmarkLargeJoinParallel(b *testing.B) {
 	}
 }
 
-// BenchmarkLargeJoinParallelStatic runs the deterministic static schedule
+// BenchmarkLargeJoinParallelStatic runs the deterministic spatial schedule
 // and reports "est-speedup": the cost-model (section 5) speedup of the
 // partitioned execution's critical path — planning plus the slowest worker —
 // over the sequential SJ4 baseline.  This is the paper's simulation-style
@@ -544,7 +544,7 @@ func BenchmarkLargeJoinParallelStatic(b *testing.B) {
 				res, err := ParallelTreeJoin(r, s, ParallelJoinOptions{
 					Options:  opts,
 					Workers:  workers,
-					Strategy: RoundRobinPartition,
+					Strategy: SpatialPartition,
 				})
 				if err != nil {
 					b.Fatal(err)
@@ -559,13 +559,13 @@ func BenchmarkLargeJoinParallelStatic(b *testing.B) {
 	}
 }
 
-// BenchmarkLargeJoinPartition compares the partition strategies — the three
-// static schedules plus the work-stealing scheduler — on the large pair at 8
-// workers.  Besides wall clock it reports the counted-cost quality of each
-// schedule: the cost-model est-speedup, the per-worker task, comparison and
-// disk skew, the buffer-locality hit rate, the steal count and the
-// disk-access overhead over the sequential join (the price of the
-// partitioned buffer, which the spatial-region schedule is built to shrink).
+// BenchmarkLargeJoinPartition compares the two partition strategies — the
+// dynamic queue and the spatial schedule — on the large pair at 2 and 4
+// workers, with and without one level of finer planning (MinTasksPerWorker
+// 16).  Beside wall clock, the speed axis the dynamic queue wins on, it
+// reports the disk-access overhead over the sequential join (the price of
+// the partitioned buffer, which the spatial-region schedule is built to
+// shrink) and the worker-buffer hit rate, the locality behind it.
 func BenchmarkLargeJoinPartition(b *testing.B) {
 	skipLargeInShort(b)
 	r, s := largeTreesForBench()
@@ -579,48 +579,39 @@ func BenchmarkLargeJoinPartition(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	model := DefaultCostModel()
-	seqEst := model.EstimateSnapshot(seq.Metrics, r.PageSize())
 	seqDisk := float64(seq.Metrics.DiskAccesses())
-	for _, strategy := range []PartitionStrategy{RoundRobinPartition, LPTPartition, SpatialPartition, StealingPartition} {
-		b.Run(fmt.Sprintf("strategy=%v/workers=8", strategy), func(b *testing.B) {
-			b.ReportAllocs()
-			var res *JoinResult
-			for i := 0; i < b.N; i++ {
-				res, err = ParallelTreeJoin(r, s, ParallelJoinOptions{
-					Options:  opts,
-					Workers:  8,
-					Strategy: strategy,
-					// STR-loaded roots yield under a dozen giant root-entry
-					// tasks; planning one level finer is what gives the
-					// schedules room to balance and cluster.
-					MinTasksPerWorker: 16,
+	for _, strategy := range []PartitionStrategy{DynamicPartition, SpatialPartition} {
+		for _, workers := range []int{2, 4} {
+			for _, minTasks := range []int{0, 16} {
+				name := fmt.Sprintf("strategy=%v/workers=%d/mt=%d", strategy, workers, minTasks)
+				b.Run(name, func(b *testing.B) {
+					b.ReportAllocs()
+					var res *JoinResult
+					for i := 0; i < b.N; i++ {
+						res, err = ParallelTreeJoin(r, s, ParallelJoinOptions{
+							Options:  opts,
+							Workers:  workers,
+							Strategy: strategy,
+							// STR-loaded roots yield under a dozen giant
+							// root-entry tasks; planning one level finer
+							// gives the schedules room to balance and
+							// cluster.
+							MinTasksPerWorker: minTasks,
+						})
+						if err != nil {
+							b.Fatal(err)
+						}
+						if res.Count == 0 {
+							b.Fatal("empty result")
+						}
+					}
+					if seqDisk > 0 {
+						b.ReportMetric(float64(res.Metrics.DiskAccesses())/seqDisk, "disk-overhead")
+					}
+					b.ReportMetric(res.WorkerBufferHitRate(), "hit-rate")
 				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				if res.Count == 0 {
-					b.Fatal("empty result")
-				}
 			}
-			par := experiments.ParallelEstimate(model, res, r.PageSize())
-			if par.TotalSeconds() > 0 {
-				b.ReportMetric(seqEst.TotalSeconds()/par.TotalSeconds(), "est-speedup")
-			}
-			if seqDisk > 0 {
-				b.ReportMetric(float64(res.Metrics.DiskAccesses())/seqDisk, "disk-overhead")
-			}
-			b.ReportMetric(res.TaskSkew(), "task-skew")
-			b.ReportMetric(res.ComparisonSkew(), "comp-skew")
-			b.ReportMetric(res.DiskSkew(), "disk-skew")
-			b.ReportMetric(res.TimeSkew(model, r.PageSize()), "time-skew")
-			b.ReportMetric(res.WorkerBufferHitRate(), "hit-rate")
-			steals := 0
-			for _, n := range res.WorkerSteals {
-				steals += n
-			}
-			b.ReportMetric(float64(steals), "steals")
-		})
+		}
 	}
 }
 

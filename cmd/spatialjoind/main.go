@@ -122,7 +122,7 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	defer closeStorage()
 
 	handler := server.NewHandler(srv, server.HandlerConfig{Shard: cfg.shard})
-	httpSrv := &http.Server{Addr: cfg.addr, Handler: handler}
+	httpSrv := &http.Server{Addr: cfg.addr, Handler: handler, ReadHeaderTimeout: server.ReadHeaderTimeout}
 	ln, err := net.Listen("tcp", cfg.addr)
 	if err != nil {
 		return err

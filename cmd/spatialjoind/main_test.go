@@ -6,6 +6,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strconv"
+	"strings"
 	"testing"
 
 	"repro/internal/server"
@@ -162,6 +163,16 @@ func TestDaemonStatsAndErrors(t *testing.T) {
 	h.ServeHTTP(rec, req)
 	if rec.Code != http.StatusBadRequest {
 		t.Fatalf("malformed update: %d", rec.Code)
+	}
+
+	// Oversized update body: well-formed ops running past the cap are
+	// refused with 413 before anything is staged.
+	op := `{"xl":0.1,"yl":0.1,"xu":0.2,"yu":0.2,"data":1},`
+	huge := "[" + strings.Repeat(op, server.MaxBodyBytes/len(op)+1) + op[:len(op)-1] + "]"
+	rec = httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest("POST", "/update", strings.NewReader(huge)))
+	if rec.Code != http.StatusRequestEntityTooLarge {
+		t.Fatalf("oversized update: %d, want 413", rec.Code)
 	}
 
 	// Deletes round-trip: insert then delete the same rect, count returns

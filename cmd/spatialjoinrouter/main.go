@@ -184,7 +184,7 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		logger.Printf("shard %s owns %s", sh.URL, sh.Range)
 	}
 
-	httpSrv := &http.Server{Addr: cfg.addr, Handler: newHandler(rt)}
+	httpSrv := &http.Server{Addr: cfg.addr, Handler: newHandler(rt), ReadHeaderTimeout: server.ReadHeaderTimeout}
 	ln, err := net.Listen("tcp", cfg.addr)
 	if err != nil {
 		return err
@@ -222,8 +222,8 @@ func newHandler(rt *router.Router) http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /update", func(w http.ResponseWriter, r *http.Request) {
 		var ops []server.OpWire
-		if err := json.NewDecoder(r.Body).Decode(&ops); err != nil {
-			writeJSON(w, http.StatusBadRequest, map[string]string{"error": err.Error()})
+		if status, err := server.DecodeBody(w, r, &ops); err != nil {
+			writeJSON(w, status, map[string]string{"error": err.Error()})
 			return
 		}
 		staged, err := rt.Update(r.Context(), ops)
@@ -243,8 +243,8 @@ func newHandler(rt *router.Router) http.Handler {
 	mux.HandleFunc("POST /join", func(w http.ResponseWriter, r *http.Request) {
 		var req server.JoinRequestWire
 		if r.ContentLength != 0 {
-			if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-				writeJSON(w, http.StatusBadRequest, map[string]string{"error": err.Error()})
+			if status, err := server.DecodeBody(w, r, &req); err != nil {
+				writeJSON(w, status, map[string]string{"error": err.Error()})
 				return
 			}
 		}

@@ -221,6 +221,26 @@ func TestPartialFailureMapsTo502(t *testing.T) {
 	}
 }
 
+// TestOversizedBodyMapsTo413 pins the body cap: an update body past
+// server.MaxBodyBytes is refused with 413 before any op is forwarded (the
+// stub shards have no /update route, so a forward would surface as 502).
+func TestOversizedBodyMapsTo413(t *testing.T) {
+	shards := stubShardPair(t, func(w http.ResponseWriter, r *http.Request) {
+		http.Error(w, `{"error":"unreachable"}`, http.StatusInternalServerError)
+	})
+	rt, err := router.New(router.Config{Shards: shards, RetryAttempts: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	op := `{"xl":0.1,"yl":0.1,"xu":0.2,"yu":0.2,"data":1},`
+	huge := "[" + strings.Repeat(op, server.MaxBodyBytes/len(op)+1) + op[:len(op)-1] + "]"
+	w := httptest.NewRecorder()
+	newHandler(rt).ServeHTTP(w, httptest.NewRequest("POST", "/update", strings.NewReader(huge)))
+	if w.Code != http.StatusRequestEntityTooLarge {
+		t.Fatalf("oversized update: %d %s, want 413", w.Code, w.Body)
+	}
+}
+
 // TestAllShedMapsTo503 pins the overload path: when every failed shard was
 // shedding, the router sheds too, forwarding the largest Retry-After as
 // RFC 9110 integer seconds.

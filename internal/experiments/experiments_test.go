@@ -315,35 +315,30 @@ func TestSortedKeysHelper(t *testing.T) {
 func TestTableParallelShape(t *testing.T) {
 	s := tinySuite()
 	rows := s.TableParallel()
-	want := len(join.PartitionStrategies) * len(ParallelWorkerCounts)
-	if len(rows) != want {
-		t.Fatalf("TableParallel returned %d rows, want %d", len(rows), want)
+	if len(rows) != len(ParallelWorkerCounts) {
+		t.Fatalf("TableParallel returned %d rows, want %d", len(rows), len(ParallelWorkerCounts))
 	}
-	i := 0
-	for _, strategy := range join.PartitionStrategies {
-		for _, workers := range ParallelWorkerCounts {
-			row := rows[i]
-			i++
-			if row.Strategy != strategy || row.Workers != workers {
-				t.Fatalf("row %d is %v/%d, want %v/%d", i-1, row.Strategy, row.Workers, strategy, workers)
-			}
-			if row.Pairs != rows[0].Pairs {
-				t.Errorf("%v/%d: %d pairs, want %d (result set must not depend on the schedule)",
-					strategy, workers, row.Pairs, rows[0].Pairs)
-			}
-			if row.Tasks <= 0 || row.DiskAccesses <= 0 || row.EstSpeedup <= 0 || row.DiskOverhead <= 0 {
-				t.Errorf("%v/%d: empty counters in %+v", strategy, workers, row)
-			}
-			if workers > 1 && (row.TaskSkew < 1 || row.CompSkew < 1 || row.DiskSkew < 1) {
-				t.Errorf("%v/%d: skews below 1 in %+v", strategy, workers, row)
-			}
+	for i, workers := range ParallelWorkerCounts {
+		row := rows[i]
+		if row.Strategy != join.PartitionSpatial || row.Workers != workers {
+			t.Fatalf("row %d is %v/%d, want %v/%d", i, row.Strategy, row.Workers, join.PartitionSpatial, workers)
+		}
+		if row.Pairs != rows[0].Pairs {
+			t.Errorf("%d workers: %d pairs, want %d (result set must not depend on the schedule)",
+				workers, row.Pairs, rows[0].Pairs)
+		}
+		if row.Tasks <= 0 || row.DiskAccesses <= 0 || row.EstSpeedup <= 0 || row.DiskOverhead <= 0 {
+			t.Errorf("%d workers: empty counters in %+v", workers, row)
+		}
+		if workers > 1 && (row.TaskSkew < 1 || row.CompSkew < 1 || row.DiskSkew < 1) {
+			t.Errorf("%d workers: skews below 1 in %+v", workers, row)
 		}
 	}
 
 	var buf bytes.Buffer
 	PrintTableParallel(&buf, rows)
 	out := buf.String()
-	for _, want := range []string{"round-robin", "lpt", "spatial", "stealing", "steals", "est speedup"} {
+	for _, want := range []string{"spatial", "est speedup"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("PrintTableParallel output is missing %q", want)
 		}
@@ -353,7 +348,7 @@ func TestTableParallelShape(t *testing.T) {
 func TestTableUpdatesShape(t *testing.T) {
 	s := tinySuite()
 	rows := s.TableUpdates()
-	strategies := len(join.PartitionStrategies) + 1 // + dynamic
+	strategies := len(join.PartitionStrategies)
 	want := 2 * UpdateRounds * strategies
 	if len(rows) != want {
 		t.Fatalf("TableUpdates returned %d rows, want %d", len(rows), want)
@@ -405,7 +400,7 @@ func TestTableUpdatesShape(t *testing.T) {
 	var buf bytes.Buffer
 	PrintTableUpdates(&buf, rows)
 	out := buf.String()
-	for _, want := range []string{"maintained", "recollect", "hint rate", "walked pages", "stealing"} {
+	for _, want := range []string{"maintained", "recollect", "hint rate", "walked pages", "dynamic", "spatial"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("PrintTableUpdates output is missing %q", want)
 		}
@@ -415,8 +410,8 @@ func TestTableUpdatesShape(t *testing.T) {
 func TestTableEstimatorShape(t *testing.T) {
 	s := tinySuite()
 	rows := s.TableEstimator()
-	if len(rows) != 4 {
-		t.Fatalf("TableEstimator returned %d rows, want 4", len(rows))
+	if len(rows) != 2 {
+		t.Fatalf("TableEstimator returned %d rows, want 2", len(rows))
 	}
 	for _, row := range rows {
 		if row.Workers <= 0 || row.Workers > EstimatorWorkers {

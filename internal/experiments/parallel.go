@@ -52,11 +52,6 @@ type ParallelRow struct {
 	// trade I/O against CPU (the locality-driven schedules do), so neither
 	// component skew alone decides whether the workers finish together.
 	TimeSkew float64
-	// Steals is the number of successful steal operations and StolenTasks the
-	// number of tasks that changed owners (stealing strategy only; both 0 for
-	// the static schedules).
-	Steals      int
-	StolenTasks int
 	// EstSpeedup is the speedup in estimated execution time (the paper's
 	// section-5 cost model) of the parallel run over the sequential SJ4 with
 	// the same total buffer: sequential estimate divided by the parallel
@@ -66,64 +61,53 @@ type ParallelRow struct {
 	EstSpeedup float64
 }
 
-// TableParallel joins the main pair with ParallelJoin (SJ4) for each
-// partition strategy (the three static schedules plus the work-stealing
-// scheduler) and worker count, and reports per-worker load-balance skew,
-// buffer locality, steal counts and the disk-access overhead over the
-// sequential join, using the per-worker snapshots the parallel executor
-// publishes.  The static rows are deterministic machine properties of the
-// plan; the stealing rows depend on runtime scheduling and show how the
-// rebalancing trades a little locality for balance.
+// TableParallel joins the main pair with ParallelJoin (SJ4) under the
+// spatial schedule for each worker count, and reports per-worker load-balance
+// skew, buffer locality and the disk-access overhead over the sequential
+// join, using the per-worker snapshots the parallel executor publishes.  The
+// spatial schedule makes the per-worker split deterministic, so every row is
+// a reproducible property of the plan rather than of goroutine scheduling
+// (the dynamic queue's split is not, which is why it has no rows here).
 func (s *Suite) TableParallel() []ParallelRow {
 	r, t := s.mainPair(ParallelPageSize)
 	seq := s.runJoin(r, t, join.SJ4, ParallelBufferKB, nil)
 	seqEst := s.model.EstimateSnapshot(seq.Metrics, ParallelPageSize)
 	var rows []ParallelRow
-	for _, strategy := range join.PartitionStrategies {
-		for _, w := range ParallelWorkerCounts {
-			res, err := join.ParallelJoin(r, t, join.ParallelOptions{
-				Options: join.Options{
-					Method:        join.SJ4,
-					BufferBytes:   ParallelBufferKB << 10,
-					UsePathBuffer: s.cfg.UsePathBuffer,
-					DiscardPairs:  true,
-				},
-				Workers: w,
-				// The static schedules make the per-worker split
-				// deterministic, so skew and estimated speedup are
-				// reproducible properties of the plan rather than of
-				// goroutine scheduling.
-				Strategy: strategy,
-			})
-			if err != nil {
-				panic(fmt.Sprintf("experiments: parallel join %v with %d workers: %v", strategy, w, err))
-			}
-			row := ParallelRow{
-				Strategy:     strategy,
-				Workers:      w,
-				Pairs:        res.Count,
-				DiskAccesses: res.Metrics.DiskAccesses(),
-				HitRate:      res.WorkerBufferHitRate(),
-				TaskSkew:     res.TaskSkew(),
-				CompSkew:     res.ComparisonSkew(),
-				DiskSkew:     res.DiskSkew(),
-				TimeSkew:     res.TimeSkew(s.model, ParallelPageSize),
-				StolenTasks:  res.StolenTasks,
-			}
-			for _, n := range res.WorkerSteals {
-				row.Steals += n
-			}
-			for _, n := range res.WorkerTasks {
-				row.Tasks += n
-			}
-			if seqDisk := seq.Metrics.DiskAccesses(); seqDisk > 0 {
-				row.DiskOverhead = float64(res.Metrics.DiskAccesses()) / float64(seqDisk)
-			}
-			if par := ParallelEstimate(s.model, res, ParallelPageSize); par.TotalSeconds() > 0 {
-				row.EstSpeedup = seqEst.TotalSeconds() / par.TotalSeconds()
-			}
-			rows = append(rows, row)
+	for _, w := range ParallelWorkerCounts {
+		res, err := join.ParallelJoin(r, t, join.ParallelOptions{
+			Options: join.Options{
+				Method:        join.SJ4,
+				BufferBytes:   ParallelBufferKB << 10,
+				UsePathBuffer: s.cfg.UsePathBuffer,
+				DiscardPairs:  true,
+			},
+			Workers:  w,
+			Strategy: join.PartitionSpatial,
+		})
+		if err != nil {
+			panic(fmt.Sprintf("experiments: parallel join with %d workers: %v", w, err))
 		}
+		row := ParallelRow{
+			Strategy:     join.PartitionSpatial,
+			Workers:      w,
+			Pairs:        res.Count,
+			DiskAccesses: res.Metrics.DiskAccesses(),
+			HitRate:      res.WorkerBufferHitRate(),
+			TaskSkew:     res.TaskSkew(),
+			CompSkew:     res.ComparisonSkew(),
+			DiskSkew:     res.DiskSkew(),
+			TimeSkew:     res.TimeSkew(s.model, ParallelPageSize),
+		}
+		for _, n := range res.WorkerTasks {
+			row.Tasks += n
+		}
+		if seqDisk := seq.Metrics.DiskAccesses(); seqDisk > 0 {
+			row.DiskOverhead = float64(res.Metrics.DiskAccesses()) / float64(seqDisk)
+		}
+		if par := ParallelEstimate(s.model, res, ParallelPageSize); par.TotalSeconds() > 0 {
+			row.EstSpeedup = seqEst.TotalSeconds() / par.TotalSeconds()
+		}
+		rows = append(rows, row)
 	}
 	return rows
 }
@@ -170,28 +154,21 @@ func ParallelEstimate(model costmodel.Model, res *join.Result, pageSize int) cos
 	}
 }
 
-// PrintTableParallel writes the parallel load-balance rows grouped by
-// partition strategy.
+// PrintTableParallel writes the parallel load-balance rows.
 func PrintTableParallel(w io.Writer, rows []ParallelRow) {
 	writeHeader(w, "Parallel join (SJ4, 4 KByte pages, 128 KB buffer): partition strategies")
-	fmt.Fprintf(w, "%-12s %-8s %6s %8s %12s %9s %8s %10s %10s %10s %10s %7s %11s\n",
+	fmt.Fprintf(w, "%-12s %-8s %6s %8s %12s %9s %8s %10s %10s %10s %10s %11s\n",
 		"strategy", "workers", "tasks", "pairs", "disk acc", "overhead", "hit rate",
-		"task skew", "comp skew", "disk skew", "time skew", "steals", "est speedup")
-	last := join.PartitionStrategy(-1)
+		"task skew", "comp skew", "disk skew", "time skew", "est speedup")
 	for _, row := range rows {
-		if row.Strategy != last && last != join.PartitionStrategy(-1) {
-			fmt.Fprintln(w)
-		}
-		last = row.Strategy
-		fmt.Fprintf(w, "%-12s %-8d %6d %8d %12d %9.2f %8.2f %10.2f %10.2f %10.2f %10.2f %7d %11.2f\n",
+		fmt.Fprintf(w, "%-12s %-8d %6d %8d %12d %9.2f %8.2f %10.2f %10.2f %10.2f %10.2f %11.2f\n",
 			row.Strategy, row.Workers, row.Tasks, row.Pairs, row.DiskAccesses,
 			row.DiskOverhead, row.HitRate, row.TaskSkew, row.CompSkew, row.DiskSkew,
-			row.TimeSkew, row.Steals, row.EstSpeedup)
+			row.TimeSkew, row.EstSpeedup)
 	}
 	fmt.Fprintln(w, "(skew = max/mean over the workers, 1.00 is perfectly balanced; time skew ="+
 		"\n skew of per-worker estimated execution times, the critical-path balance;"+
-		"\n overhead = disk accesses over the sequential join's; steals = successful"+
-		"\n steal operations of the work-stealing scheduler; est speedup = estimated"+
+		"\n overhead = disk accesses over the sequential join's; est speedup = estimated"+
 		"\n sequential time over the parallel critical path, section-5 cost model)")
 }
 
@@ -219,55 +196,51 @@ type EstimatorRow struct {
 	// granularity the partitioner actually cuts at.
 	MeanAbsErrPct float64
 	// CompSkew, TimeSkew and EstSpeedup show what the fidelity buys: a
-	// tighter estimator packs the static schedules more evenly.
+	// tighter estimator packs the spatial schedule more evenly.
 	CompSkew   float64
 	TimeSkew   float64
 	HitRate    float64
 	EstSpeedup float64
 }
 
-// TableEstimator runs the estimate-driven static strategies at
-// EstimatorWorkers workers with both estimators and reports the est-vs-actual
-// error alongside the resulting balance.  (The stealing strategy is excluded:
-// its executed split is rebalanced at run time, so predicted initial loads
-// and measured loads diverge by design.)
+// TableEstimator runs the spatial schedule at EstimatorWorkers workers with
+// both estimators and reports the est-vs-actual error alongside the
+// resulting balance.
 func (s *Suite) TableEstimator() []EstimatorRow {
 	r, t := s.mainPair(ParallelPageSize)
 	seq := s.runJoin(r, t, join.SJ4, ParallelBufferKB, nil)
 	seqEst := s.model.EstimateSnapshot(seq.Metrics, ParallelPageSize)
 	var rows []EstimatorRow
 	for _, sampled := range []bool{false, true} {
-		for _, strategy := range []join.PartitionStrategy{join.PartitionLPT, join.PartitionSpatial} {
-			res, err := join.ParallelJoin(r, t, join.ParallelOptions{
-				Options: join.Options{
-					Method:        join.SJ4,
-					BufferBytes:   ParallelBufferKB << 10,
-					UsePathBuffer: s.cfg.UsePathBuffer,
-					DiscardPairs:  true,
-				},
-				Workers:             EstimatorWorkers,
-				Strategy:            strategy,
-				DisableSampledStats: !sampled,
-			})
-			if err != nil {
-				panic(fmt.Sprintf("experiments: estimator table %v sampled=%v: %v", strategy, sampled, err))
-			}
-			row := EstimatorRow{
-				Strategy: strategy,
-				Sampled:  sampled,
-				Workers:  len(res.WorkerMetrics),
-				CompSkew: res.ComparisonSkew(),
-				TimeSkew: res.TimeSkew(s.model, ParallelPageSize),
-				HitRate:  res.WorkerBufferHitRate(),
-			}
-			if err, ok := MeanEstErrPct(s.model, res, ParallelPageSize); ok {
-				row.MeanAbsErrPct = err
-			}
-			if par := ParallelEstimate(s.model, res, ParallelPageSize); par.TotalSeconds() > 0 {
-				row.EstSpeedup = seqEst.TotalSeconds() / par.TotalSeconds()
-			}
-			rows = append(rows, row)
+		res, err := join.ParallelJoin(r, t, join.ParallelOptions{
+			Options: join.Options{
+				Method:        join.SJ4,
+				BufferBytes:   ParallelBufferKB << 10,
+				UsePathBuffer: s.cfg.UsePathBuffer,
+				DiscardPairs:  true,
+			},
+			Workers:             EstimatorWorkers,
+			Strategy:            join.PartitionSpatial,
+			DisableSampledStats: !sampled,
+		})
+		if err != nil {
+			panic(fmt.Sprintf("experiments: estimator table sampled=%v: %v", sampled, err))
 		}
+		row := EstimatorRow{
+			Strategy: join.PartitionSpatial,
+			Sampled:  sampled,
+			Workers:  len(res.WorkerMetrics),
+			CompSkew: res.ComparisonSkew(),
+			TimeSkew: res.TimeSkew(s.model, ParallelPageSize),
+			HitRate:  res.WorkerBufferHitRate(),
+		}
+		if err, ok := MeanEstErrPct(s.model, res, ParallelPageSize); ok {
+			row.MeanAbsErrPct = err
+		}
+		if par := ParallelEstimate(s.model, res, ParallelPageSize); par.TotalSeconds() > 0 {
+			row.EstSpeedup = seqEst.TotalSeconds() / par.TotalSeconds()
+		}
+		rows = append(rows, row)
 	}
 	return rows
 }

@@ -45,14 +45,12 @@ type UpdateRow struct {
 	// leaf-hint fast path (one value per round, repeated on each row).
 	HintHitRate float64
 	// EstErrPct is the mean over workers of |predicted - actual| / actual in
-	// per cent, for the estimate-driven static strategies (LPT, spatial).  It
-	// is -1 for strategies whose split is not the predicted schedule (dynamic,
-	// round-robin, stealing).  This is the estimator-freshness measure: the
-	// maintained catalog must keep it in the PR-4 band without ever walking
-	// the tree.
+	// per cent, for the estimate-driven spatial schedule.  It is -1 for the
+	// dynamic queue, whose split is not a predicted schedule.  This is the
+	// estimator-freshness measure: the maintained catalog must keep it near
+	// the unmutated trees' error without ever walking the tree.
 	EstErrPct float64
 	TimeSkew  float64
-	Steals    int
 	// CatalogWalks is how many from-scratch recollection walks the two trees
 	// performed during this row's planning, and WalkedPages the pages those
 	// walks touched.  With maintenance on both must be zero for every row.
@@ -106,15 +104,9 @@ func (u *UpdatePair) TurnOver(round int) (hits, applied int) {
 	return buf.HintHits(), buf.Applied()
 }
 
-// updateStrategies is the full strategy sweep of the update experiment: the
-// dynamic shared queue plus every per-worker schedule.
-func updateStrategies() []join.PartitionStrategy {
-	return append([]join.PartitionStrategy{join.PartitionDynamic}, join.PartitionStrategies...)
-}
-
 // TableUpdates interleaves batched updates (Hilbert-buffered inserts plus
 // oldest-first deletes, UpdateBatchPercent of each relation per round) with
-// SJ4 parallel joins across all five partition strategies, twice: once with
+// SJ4 parallel joins under both partition strategies, twice: once with
 // incremental catalog maintenance (the default) and once with it ablated.
 // Every join's result is verified against the sequential join on the mutated
 // trees; the CatalogWalks column isolates the recollection stall the
@@ -156,7 +148,7 @@ func (s *Suite) updateBlock(maintained bool) []UpdateRow {
 		seq := s.runJoin(r.Tree, t.Tree, join.SJ4, ParallelBufferKB, nil)
 		pagesR := int64(r.Tree.Stats().TotalPages())
 		pagesT := int64(t.Tree.Stats().TotalPages())
-		for _, strategy := range updateStrategies() {
+		for _, strategy := range join.PartitionStrategies {
 			walksR0, walksT0 := r.Tree.CatalogRecollections(), t.Tree.CatalogRecollections()
 			res, err := join.ParallelJoin(r.Tree, t.Tree, join.ParallelOptions{
 				Options: join.Options{
@@ -191,10 +183,7 @@ func (s *Suite) updateBlock(maintained bool) []UpdateRow {
 			for _, n := range res.WorkerTasks {
 				row.Tasks += n
 			}
-			for _, n := range res.WorkerSteals {
-				row.Steals += n
-			}
-			if strategy == join.PartitionLPT || strategy == join.PartitionSpatial {
+			if strategy == join.PartitionSpatial {
 				if err, ok := MeanEstErrPct(s.model, res, ParallelPageSize); ok {
 					row.EstErrPct = err
 				}
@@ -211,9 +200,9 @@ func PrintTableUpdates(w io.Writer, rows []UpdateRow) {
 	writeHeader(w, fmt.Sprintf(
 		"Update-heavy workload (SJ4, %d workers, %d%% turnover per round): catalog maintenance vs recollection",
 		UpdateWorkers, UpdateBatchPercent))
-	fmt.Fprintf(w, "%-11s %-6s %-12s %6s %8s %9s %10s %10s %7s %6s %12s\n",
+	fmt.Fprintf(w, "%-11s %-6s %-12s %6s %8s %9s %10s %10s %6s %12s\n",
 		"catalog", "round", "strategy", "tasks", "pairs", "hint rate", "est err %", "time skew",
-		"steals", "walks", "walked pages")
+		"walks", "walked pages")
 	lastMode := true
 	for i, row := range rows {
 		if i > 0 && row.Maintained != lastMode {
@@ -228,14 +217,14 @@ func PrintTableUpdates(w io.Writer, rows []UpdateRow) {
 		if row.EstErrPct >= 0 {
 			estErr = fmt.Sprintf("%.1f", row.EstErrPct)
 		}
-		fmt.Fprintf(w, "%-11s %-6d %-12s %6d %8d %9.2f %10s %10.2f %7d %6d %12d\n",
+		fmt.Fprintf(w, "%-11s %-6d %-12s %6d %8d %9.2f %10s %10.2f %6d %12d\n",
 			mode, row.Round, row.Strategy, row.Tasks, row.Pairs, row.HintHitRate,
-			estErr, row.TimeSkew, row.Steals, row.CatalogWalks, row.WalkedPages)
+			estErr, row.TimeSkew, row.CatalogWalks, row.WalkedPages)
 	}
 	fmt.Fprintln(w, "(each round deletes the oldest batch and Hilbert-buffer-inserts a fresh one on"+
 		"\n both relations, then joins with every partition strategy; hint rate = share of"+
 		"\n buffered inserts that skipped the ChooseSubtree descent; est err = mean per-"+
-		"\n worker |predicted-actual|/actual for the estimate-driven static schedules;"+
+		"\n worker |predicted-actual|/actual for the estimate-driven spatial schedule;"+
 		"\n walks = full-tree statistics recollections during planning — the stall the"+
 		"\n incremental catalog maintenance eliminates)")
 }

@@ -20,13 +20,6 @@ func sortedPairHash(pairs []Pair) uint64 {
 	return h
 }
 
-// parallelVariants enumerates the schedule dimension of the invariant suite:
-// the dynamic queue, the three static strategies and the work-stealing
-// scheduler.
-var parallelVariants = []PartitionStrategy{
-	PartitionDynamic, PartitionRoundRobin, PartitionLPT, PartitionSpatial, PartitionStealing,
-}
-
 // checkParallelAgainst runs ParallelJoin in both pair modes (materialised
 // and OnPair+DiscardPairs) and checks the result-set invariants against the
 // sequential golden hash and count.
@@ -68,7 +61,7 @@ func checkParallelAgainst(t *testing.T, label string, wantHash uint64, wantCount
 
 // TestParallelJoinInvariants checks result-set equality of ParallelJoin with
 // the sequential join over the full matrix: every tree algorithm SJ1-SJ5,
-// every partition strategy (dynamic queue plus the three static schedules),
+// every partition strategy (dynamic queue and spatial schedule),
 // and both pair modes.  Equality is by sorted-pair golden hash, since the
 // parallel pair order is schedule-dependent.
 func TestParallelJoinInvariants(t *testing.T) {
@@ -80,7 +73,7 @@ func TestParallelJoinInvariants(t *testing.T) {
 			t.Fatal(err)
 		}
 		wantHash := sortedPairHash(seq.Pairs)
-		for _, strategy := range parallelVariants {
+		for _, strategy := range PartitionStrategies {
 			label := fmt.Sprintf("%v/%v", method, strategy)
 			checkParallelAgainst(t, label, wantHash, seq.Count,
 				func(onPair func(Pair), discard bool) (*Result, error) {
@@ -89,87 +82,6 @@ func TestParallelJoinInvariants(t *testing.T) {
 					o.DiscardPairs = discard
 					return ParallelJoin(r, s, ParallelOptions{Options: o, Workers: 4, Strategy: strategy})
 				})
-		}
-	}
-}
-
-// TestStealingJoinInvariants is the stealing strategy's own wall: SJ1-SJ5,
-// worker counts 1, 2 and 8, both pair modes, a fine task granularity so that
-// steals actually fire, and the catalog-average estimator ablation — the
-// result set must equal the sequential join's in every cell no matter how
-// the nondeterministic steal/pop interleaving plays out.  CI runs the
-// package under -race, which turns this into the stealing data-race wall.
-func TestStealingJoinInvariants(t *testing.T) {
-	r, s, _, _ := buildPair(t, 1500, 1500, storage.PageSize1K)
-	for _, method := range Methods {
-		seq, err := Join(r, s, Options{Method: method, BufferBytes: 64 << 10, UsePathBuffer: true})
-		if err != nil {
-			t.Fatal(err)
-		}
-		wantHash := sortedPairHash(seq.Pairs)
-		for _, workers := range []int{1, 2, 8} {
-			for _, catalogAvg := range []bool{false, true} {
-				label := fmt.Sprintf("%v/stealing/workers=%d/catalogAvg=%v", method, workers, catalogAvg)
-				checkParallelAgainst(t, label, wantHash, seq.Count,
-					func(onPair func(Pair), discard bool) (*Result, error) {
-						o := Options{Method: method, BufferBytes: 64 << 10, UsePathBuffer: true,
-							OnPair: onPair, DiscardPairs: discard}
-						return ParallelJoin(r, s, ParallelOptions{
-							Options:             o,
-							Workers:             workers,
-							Strategy:            PartitionStealing,
-							MinTasksPerWorker:   4,
-							DisableSampledStats: catalogAvg,
-						})
-					})
-			}
-		}
-	}
-}
-
-// TestStealingExecutesEveryTaskOnce checks the scheduling invariant behind
-// the result-set equality: across all workers exactly len(tasks) sub-joins
-// run, no matter how many runs changed owners through stealing.
-func TestStealingExecutesEveryTaskOnce(t *testing.T) {
-	r, s, _, _ := buildPair(t, 3000, 3000, storage.PageSize1K)
-	for _, workers := range []int{2, 4, 8} {
-		ref, err := ParallelJoin(r, s, ParallelOptions{
-			Options:           Options{Method: SJ4, BufferBytes: 64 << 10, DiscardPairs: true},
-			Workers:           workers,
-			Strategy:          PartitionSpatial,
-			MinTasksPerWorker: 8,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, err := ParallelJoin(r, s, ParallelOptions{
-			Options:           Options{Method: SJ4, BufferBytes: 64 << 10, DiscardPairs: true},
-			Workers:           workers,
-			Strategy:          PartitionStealing,
-			MinTasksPerWorker: 8,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		want, got := 0, 0
-		for _, n := range ref.WorkerTasks {
-			want += n
-		}
-		for _, n := range res.WorkerTasks {
-			got += n
-		}
-		if got != want {
-			t.Errorf("workers=%d: stealing executed %d tasks, spatial schedule has %d", workers, got, want)
-		}
-		if len(res.WorkerSteals) != workers {
-			t.Errorf("workers=%d: WorkerSteals has %d entries", workers, len(res.WorkerSteals))
-		}
-		steals := 0
-		for _, n := range res.WorkerSteals {
-			steals += n
-		}
-		if steals == 0 && res.StolenTasks != 0 {
-			t.Errorf("workers=%d: StolenTasks=%d with zero steal operations", workers, res.StolenTasks)
 		}
 	}
 }
@@ -186,7 +98,7 @@ func TestParallelJoinInvariantsHeights(t *testing.T) {
 			t.Fatal(err)
 		}
 		wantHash := sortedPairHash(seq.Pairs)
-		for _, strategy := range parallelVariants {
+		for _, strategy := range PartitionStrategies {
 			label := fmt.Sprintf("heights/%v/%v", policy, strategy)
 			checkParallelAgainst(t, label, wantHash, seq.Count,
 				func(onPair func(Pair), discard bool) (*Result, error) {

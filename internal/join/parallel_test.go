@@ -124,8 +124,9 @@ func TestParallelWorkers1MatchesSequentialDiskAccesses(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			// With one worker the stealing strategy has no victims, so it
-			// degenerates to the spatial schedule and the same bounds apply.
+			// With one worker the dynamic queue runs the area-sorted task
+			// order and the spatial schedule the Hilbert order; the same
+			// bounds apply to both.
 			for _, strategy := range PartitionStrategies {
 				par, err := ParallelJoin(r, s, ParallelOptions{Options: opts, Workers: 1, Strategy: strategy})
 				if err != nil {
@@ -163,7 +164,7 @@ func TestParallelPlanningChargesNodesOnce(t *testing.T) {
 	res, err := ParallelJoin(r, s, ParallelOptions{
 		Options:  Options{Method: SJ4, BufferBytes: 128 << 10, UsePathBuffer: true, DiscardPairs: true},
 		Workers:  rootPairs + 1, // more workers than root pairs forces a split
-		Strategy: PartitionRoundRobin,
+		Strategy: PartitionSpatial,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -261,13 +262,13 @@ func TestWorkerBufferHitRatesNaNFree(t *testing.T) {
 		t.Error("sequential result must report nil per-worker rates")
 	}
 
-	// End to end: a real stealing run must produce finite rates for every
-	// worker even when steals leave some queue empty.
+	// End to end: a real spatial run at a fine granularity must produce
+	// finite rates for every worker.
 	r, s, _, _ := buildPair(t, 1500, 1500, storage.PageSize1K)
 	res2, err := ParallelJoin(r, s, ParallelOptions{
 		Options:           Options{Method: SJ4, BufferBytes: 32 << 10, DiscardPairs: true},
 		Workers:           8,
-		Strategy:          PartitionStealing,
+		Strategy:          PartitionSpatial,
 		MinTasksPerWorker: 2,
 	})
 	if err != nil {

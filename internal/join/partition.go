@@ -12,28 +12,19 @@ import (
 )
 
 // PartitionStrategy selects how ParallelJoin assigns the planned sub-join
-// tasks to workers.  The zero value is the dynamic shared queue; the three
-// static strategies produce a deterministic per-worker schedule, which makes
-// the per-worker snapshots (Result.WorkerMetrics) reproducible machine
-// properties of the plan rather than of goroutine scheduling.
+// tasks to workers.  The zero value is the dynamic shared queue; the spatial
+// strategy produces a deterministic per-worker schedule, which makes the
+// per-worker snapshots (Result.WorkerMetrics) reproducible machine
+// properties of the plan rather than of goroutine scheduling.  Every other
+// value is rejected with ErrUnknownPartitionStrategy.
 type PartitionStrategy int
 
 const (
 	// PartitionDynamic lets workers pull tasks off a shared queue with one
-	// atomic fetch-add per task.  It balances best on real multi-core
-	// machines but its per-worker split depends on scheduling (on a single
-	// core one worker may drain the whole queue before the others start).
-	PartitionDynamic PartitionStrategy = iota
-	// PartitionRoundRobin deals the tasks, sorted by descending intersection
-	// area, round-robin over the workers.  This was the original static
-	// schedule; it balances task counts but ignores both cost and locality.
-	PartitionRoundRobin
-	// PartitionLPT packs tasks onto workers greedily by descending cost-model
-	// estimate (longest-processing-time bin packing): each task goes to the
-	// currently least-loaded worker.  It minimises the estimated critical
-	// path but, like round-robin, scatters spatially adjacent tasks across
-	// workers.
-	PartitionLPT
+	// atomic fetch-add per task.  It is the fastest schedule on wall clock,
+	// but its per-worker split depends on scheduling (on a single core one
+	// worker may drain the whole queue before the others start).
+	PartitionDynamic PartitionStrategy = 0
 	// PartitionSpatial tiles the joint root intersection into contiguous
 	// spatial regions: tasks are ordered along the Hilbert curve of their
 	// intersection-rectangle centres (the same curve the Hilbert bulk loader
@@ -41,18 +32,10 @@ const (
 	// worker.  Tasks that share a subtree have nearby intersection centres,
 	// so they land on the same worker and its private LRU partition actually
 	// gets reuse — the shared-nothing region assignment the paper's
-	// future-work section points at.
-	PartitionSpatial
-	// PartitionStealing starts from the spatial schedule — each worker owns
-	// one Hilbert-contiguous region queue — and lets a worker whose queue
-	// drains steal half of the *tail* of the most-loaded victim's queue.
-	// Tail-stealing keeps the victim's Hilbert prefix intact, so locality
-	// degrades gracefully under estimation error instead of collapsing to the
-	// shared dynamic queue, while the stealing supplies the wall-clock load
-	// balance no static cut can guarantee.  The result set is identical to
-	// the sequential join; the per-worker split (and therefore the worker
-	// snapshots) depends on runtime scheduling, unlike the static strategies.
-	PartitionStealing
+	// future-work section points at.  It reads the fewest pages of any
+	// schedule.  (Values 1, 2 and 4 named retired schedules and are now
+	// rejected, so the spatial value keeps its number.)
+	PartitionSpatial PartitionStrategy = 3
 )
 
 // String implements fmt.Stringer.
@@ -60,27 +43,16 @@ func (s PartitionStrategy) String() string {
 	switch s {
 	case PartitionDynamic:
 		return "dynamic"
-	case PartitionRoundRobin:
-		return "round-robin"
-	case PartitionLPT:
-		return "lpt"
 	case PartitionSpatial:
 		return "spatial"
-	case PartitionStealing:
-		return "stealing"
 	default:
 		return fmt.Sprintf("PartitionStrategy(%d)", int(s))
 	}
 }
 
-// StaticPartitionStrategies lists the deterministic strategies in the order
-// the experiments sweep them.
-var StaticPartitionStrategies = []PartitionStrategy{PartitionRoundRobin, PartitionLPT, PartitionSpatial}
-
-// PartitionStrategies lists every strategy with a per-worker schedule (the
-// static schedules plus the stealing scheduler); the experiments sweep them
-// in this order.
-var PartitionStrategies = []PartitionStrategy{PartitionRoundRobin, PartitionLPT, PartitionSpatial, PartitionStealing}
+// PartitionStrategies lists every valid strategy; the tests and the update
+// experiment sweep them in this order.
+var PartitionStrategies = []PartitionStrategy{PartitionDynamic, PartitionSpatial}
 
 // subtreeModel estimates the size of a subtree from catalog statistics (the
 // tree's page and entry counts), the kind of metadata a query planner has
@@ -216,10 +188,10 @@ func extentFraction(sum, extent float64) float64 {
 }
 
 // costVec is a per-task cost estimate split into its I/O and CPU components.
-// The scalar LPT packing balances the sum io+cpu, which lets a worker collect
-// all the comparison-heavy tasks as long as another worker absorbs the I/O:
-// the totals match but the comparison skew does not.  Packing on the vector
-// with a max-of-components objective balances each resource separately.
+// A scalar packing of the sum io+cpu lets a worker collect all the
+// comparison-heavy tasks as long as another worker absorbs the I/O: the
+// totals match but the comparison skew does not.  Packing on the vector with
+// a max-of-components objective balances each resource separately.
 type costVec struct {
 	io, cpu float64
 }
@@ -295,9 +267,6 @@ func (e taskEstimator) vecKNN(t parallelTask) costVec {
 	return costVec{io: c.IOSeconds, cpu: c.CPUSeconds}
 }
 
-// seconds estimates the total cost-model execution time of one task.
-func (e taskEstimator) seconds(t parallelTask) float64 { return e.vec(t).total() }
-
 // vectors returns the per-task (io, cpu) cost vectors.
 func (e taskEstimator) vectors(tasks []parallelTask) []costVec {
 	vecs := make([]costVec, len(tasks))
@@ -305,15 +274,6 @@ func (e taskEstimator) vectors(tasks []parallelTask) []costVec {
 		vecs[i] = e.vec(t)
 	}
 	return vecs
-}
-
-// estimates returns the per-task scalar cost estimates.
-func (e taskEstimator) estimates(tasks []parallelTask) []float64 {
-	est := make([]float64, len(tasks))
-	for i, t := range tasks {
-		est[i] = e.seconds(t)
-	}
-	return est
 }
 
 // scalars projects cost vectors onto their io+cpu totals.
@@ -328,66 +288,16 @@ func scalars(vecs []costVec) []float64 {
 // buildSchedule returns the per-worker schedule of one strategy: for each
 // worker the ordered indices into tasks it executes.  It returns nil for
 // PartitionDynamic, where workers pull from the shared queue instead.  vecs
-// holds the per-task (io, cpu) cost vectors for the estimate-driven
-// strategies (LPT, spatial, stealing) and may be nil for the others; LPT
-// packs on the scalar total while the spatial/stealing region packing
-// balances the components separately.  The stealing strategy starts from the
-// spatial schedule; the queues built over it are then rebalanced at run
-// time.  workers must already be clamped to len(tasks), so every worker
-// receives at least one task.  ParallelJoin validates the strategy before
-// planning, so an unknown value cannot reach this switch.
+// holds the per-task (io, cpu) cost vectors the spatial region packing
+// balances and may be nil for the dynamic queue.  workers must already be
+// clamped to len(tasks), so every worker receives at least one task.
+// ParallelJoin validates the strategy before planning, so an unknown value
+// cannot reach this function.
 func buildSchedule(strategy PartitionStrategy, r, s *rtree.Tree, tasks []parallelTask, vecs []costVec, workers int) [][]int32 {
-	switch strategy {
-	case PartitionRoundRobin:
-		return scheduleRoundRobin(tasks, workers)
-	case PartitionLPT:
-		return scheduleLPT(scalars(vecs), workers)
-	case PartitionSpatial, PartitionStealing:
-		return scheduleSpatial(r, s, tasks, vecs, workers)
-	default:
+	if strategy != PartitionSpatial {
 		return nil
 	}
-}
-
-// scheduleRoundRobin deals the area-sorted tasks round-robin; task i goes to
-// worker i mod workers, preserving the descending-area order within each
-// worker.
-func scheduleRoundRobin(tasks []parallelTask, workers int) [][]int32 {
-	schedule := make([][]int32, workers)
-	per := (len(tasks) + workers - 1) / workers
-	for w := range schedule {
-		schedule[w] = make([]int32, 0, per)
-	}
-	for i := range tasks {
-		w := i % workers
-		schedule[w] = append(schedule[w], int32(i))
-	}
-	return schedule
-}
-
-// scheduleLPT performs greedy longest-processing-time bin packing: tasks in
-// descending estimate order each go to the currently least-loaded worker
-// (ties to the lowest worker index, so the schedule is deterministic).
-func scheduleLPT(est []float64, workers int) [][]int32 {
-	order := make([]int32, len(est))
-	for i := range order {
-		order[i] = int32(i)
-	}
-	sort.SliceStable(order, func(a, b int) bool { return est[order[a]] > est[order[b]] })
-
-	schedule := make([][]int32, workers)
-	loads := make([]float64, workers)
-	for _, i := range order {
-		w := 0
-		for v := 1; v < workers; v++ {
-			if loads[v] < loads[w] {
-				w = v
-			}
-		}
-		schedule[w] = append(schedule[w], i)
-		loads[w] += est[i]
-	}
-	return schedule
+	return scheduleSpatial(r, s, tasks, vecs, workers)
 }
 
 // spatialRegionsPerWorker is how many contiguous Hilbert regions the spatial

@@ -60,19 +60,20 @@ func TestBuildScheduleCoversAllTasks(t *testing.T) {
 		t.Fatalf("want at least 4 root tasks, got %d", len(tasks))
 	}
 	vecs := newTaskEstimator(r, s, true, Intersects()).vectors(tasks)
-	for _, strategy := range PartitionStrategies {
-		for _, workers := range []int{1, 2, 3, len(tasks)} {
-			checkSchedule(t, buildSchedule(strategy, r, s, tasks, vecs, workers), len(tasks), workers)
-		}
+	for _, workers := range []int{1, 2, 3, len(tasks)} {
+		checkSchedule(t, buildSchedule(PartitionSpatial, r, s, tasks, vecs, workers), len(tasks), workers)
 	}
 	if schedule := buildSchedule(PartitionDynamic, r, s, tasks, vecs, 4); schedule != nil {
 		t.Fatalf("dynamic strategy must return a nil schedule, got %v", schedule)
 	}
-	if _, err := ParallelJoin(r, s, ParallelOptions{
-		Options:  Options{Method: SJ4},
-		Strategy: PartitionStrategy(99),
-	}); !errors.Is(err, ErrUnknownPartitionStrategy) {
-		t.Fatalf("unknown strategy must be rejected, got %v", err)
+	// 1, 2 and 4 are the retired round-robin, LPT and stealing values.
+	for _, strategy := range []PartitionStrategy{1, 2, 4, 99, -1} {
+		if _, err := ParallelJoin(r, s, ParallelOptions{
+			Options:  Options{Method: SJ4},
+			Strategy: strategy,
+		}); !errors.Is(err, ErrUnknownPartitionStrategy) {
+			t.Fatalf("unknown strategy %v must be rejected, got %v", strategy, err)
+		}
 	}
 }
 
@@ -80,57 +81,16 @@ func TestBuildScheduleIsDeterministic(t *testing.T) {
 	r, s, _, _ := buildPair(t, 3000, 3000, storage.PageSize1K)
 	tasks := planTasks(r, s)
 	vecs := newTaskEstimator(r, s, true, Intersects()).vectors(tasks)
-	for _, strategy := range PartitionStrategies {
-		a := buildSchedule(strategy, r, s, tasks, vecs, 4)
-		b := buildSchedule(strategy, r, s, tasks, vecs, 4)
-		for w := range a {
-			if len(a[w]) != len(b[w]) {
-				t.Fatalf("%v: worker %d sizes differ between runs", strategy, w)
-			}
-			for i := range a[w] {
-				if a[w][i] != b[w][i] {
-					t.Fatalf("%v: worker %d schedule differs between runs", strategy, w)
-				}
-			}
+	a := buildSchedule(PartitionSpatial, r, s, tasks, vecs, 4)
+	b := buildSchedule(PartitionSpatial, r, s, tasks, vecs, 4)
+	for w := range a {
+		if len(a[w]) != len(b[w]) {
+			t.Fatalf("worker %d sizes differ between runs", w)
 		}
-	}
-}
-
-// TestLPTBalancesEstimates checks the defining property of the greedy LPT
-// packing: its maximum per-worker estimated load never exceeds the
-// round-robin deal's.
-func TestLPTBalancesEstimates(t *testing.T) {
-	r, s, _, _ := buildPair(t, 4000, 4000, storage.PageSize1K)
-	tasks := planTasks(r, s)
-	est := newTaskEstimator(r, s, true, Intersects()).estimates(tasks)
-	for _, e := range est {
-		if e <= 0 {
-			t.Fatal("task estimates must be positive")
-		}
-	}
-	maxLoad := func(schedule [][]int32) float64 {
-		worst := 0.0
-		for _, idxs := range schedule {
-			load := 0.0
-			for _, i := range idxs {
-				load += est[i]
+		for i := range a[w] {
+			if a[w][i] != b[w][i] {
+				t.Fatalf("worker %d schedule differs between runs", w)
 			}
-			if load > worst {
-				worst = load
-			}
-		}
-		return worst
-	}
-	for _, workers := range []int{2, 4, 8} {
-		if workers > len(tasks) {
-			continue
-		}
-		lpt := scheduleLPT(est, workers)
-		rr := scheduleRoundRobin(tasks, workers)
-		checkSchedule(t, lpt, len(tasks), workers)
-		if maxLoad(lpt) > maxLoad(rr)+1e-12 {
-			t.Errorf("%d workers: LPT max load %.6f exceeds round-robin's %.6f",
-				workers, maxLoad(lpt), maxLoad(rr))
 		}
 	}
 }
@@ -239,104 +199,11 @@ func TestContiguousSplitProperties(t *testing.T) {
 	}
 }
 
-// TestStealQueueProperties drives one queue with an arbitrary interleaving
-// of owner pops and tail steals (testing/quick) and checks the tail-stealing
-// invariants: the owner always consumes a prefix of the original run in
-// order, every stolen run is a contiguous tail of the victim's remainder in
-// original order, no task is ever delivered twice, and pops plus steals
-// together deliver every task exactly once.
-func TestStealQueueProperties(t *testing.T) {
-	f := func(sizeSeed uint16, ops []bool) bool {
-		n := 1 + int(sizeSeed)%300
-		est := make([]float64, n)
-		orig := make([]int32, n)
-		for i := range orig {
-			est[i] = 1 + float64(i%7)
-			orig[i] = int32(n - 1 - i) // arbitrary task ids, not positions
-		}
-		q := &stealQueue{tasks: append([]int32(nil), orig...)}
-		var load float64
-		for _, i := range orig {
-			load += est[i]
-		}
-		q.setLoadLocked(load)
-
-		delivered := make(map[int32]int, n)
-		popped := 0
-		var stolen [][]int32
-		var buf []int32
-		for _, stealOp := range ops {
-			if stealOp {
-				run, _ := q.stealTail(buf, est)
-				if len(run) > 0 {
-					cp := append([]int32(nil), run...)
-					stolen = append(stolen, cp)
-					for _, i := range cp {
-						delivered[i]++
-					}
-				}
-				buf = run
-			} else {
-				i, ok := q.pop(est)
-				if !ok {
-					continue
-				}
-				// Owner pops must walk the original prefix in order.
-				if i != orig[popped] {
-					return false
-				}
-				delivered[i]++
-				popped++
-			}
-		}
-		// Drain the queue; the remainder plus everything delivered must be
-		// the original run, each task exactly once.
-		for {
-			i, ok := q.pop(est)
-			if !ok {
-				break
-			}
-			if i != orig[popped] {
-				return false
-			}
-			delivered[i]++
-			popped++
-		}
-		// Stolen runs are contiguous tails in original order: each steal
-		// removed the tail of the then-remainder, so the last steal sits
-		// closest to the popped prefix and concatenating the runs in reverse
-		// steal order must reconstruct orig[popped:] exactly.
-		tail := make([]int32, 0, n-popped)
-		for s := len(stolen) - 1; s >= 0; s-- {
-			tail = append(tail, stolen[s]...)
-		}
-		if len(tail) != n-popped {
-			return false
-		}
-		for k, i := range tail {
-			if orig[popped+k] != i {
-				return false
-			}
-		}
-		for _, i := range orig {
-			if delivered[i] != 1 {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 150}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestPartitionStrategyString(t *testing.T) {
 	want := map[PartitionStrategy]string{
 		PartitionDynamic:      "dynamic",
-		PartitionRoundRobin:   "round-robin",
-		PartitionLPT:          "lpt",
 		PartitionSpatial:      "spatial",
-		PartitionStealing:     "stealing",
+		PartitionStrategy(2):  "PartitionStrategy(2)",
 		PartitionStrategy(42): "PartitionStrategy(42)",
 	}
 	for s, str := range want {

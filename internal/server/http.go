@@ -7,6 +7,7 @@ import (
 	"math"
 	"net/http"
 	"strconv"
+	"time"
 
 	"repro/internal/geom"
 	"repro/internal/join"
@@ -83,6 +84,36 @@ type HandlerConfig struct {
 	World geom.Rect
 }
 
+// MaxBodyBytes caps the POST /update and POST /join request bodies, here and
+// in the shard router.  A join body is a few hundred bytes and an update op
+// about 130, so the cap admits some 60 000 ops per request — two orders of
+// magnitude above the 400-op churn batches and the router's per-shard
+// forwards of them — while a runaway or hostile client can no longer make the
+// decoder buffer an unbounded body.  Larger loads go in several batches.
+const MaxBodyBytes = 8 << 20
+
+// ReadHeaderTimeout bounds how long spatialjoind and spatialjoinrouter wait
+// for a request's headers, so an idle or trickling connection cannot hold a
+// server goroutine indefinitely.
+const ReadHeaderTimeout = 10 * time.Second
+
+// DecodeBody decodes the JSON request body, read through an
+// http.MaxBytesReader of MaxBodyBytes, into v.  On failure it also returns
+// the status to answer with: 413 for an oversized body, 400 for anything
+// else.
+func DecodeBody(w http.ResponseWriter, r *http.Request, v any) (int, error) {
+	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, MaxBodyBytes)).Decode(v)
+	var tooBig *http.MaxBytesError
+	switch {
+	case err == nil:
+		return http.StatusOK, nil
+	case errors.As(err, &tooBig):
+		return http.StatusRequestEntityTooLarge, err
+	default:
+		return http.StatusBadRequest, err
+	}
+}
+
 // UnitWorld is the default key-grid world: the synthetic datasets live in
 // the unit square.
 var UnitWorld = geom.Rect{XL: 0, YL: 0, XU: 1, YU: 1}
@@ -100,8 +131,8 @@ func NewHandler(srv *Server, cfg HandlerConfig) http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /update", func(w http.ResponseWriter, r *http.Request) {
 		var ops []OpWire
-		if err := json.NewDecoder(r.Body).Decode(&ops); err != nil {
-			httpError(w, http.StatusBadRequest, err)
+		if status, err := DecodeBody(w, r, &ops); err != nil {
+			httpError(w, status, err)
 			return
 		}
 		batch := make([]Op, len(ops))
@@ -133,8 +164,8 @@ func NewHandler(srv *Server, cfg HandlerConfig) http.Handler {
 	mux.HandleFunc("POST /join", func(w http.ResponseWriter, r *http.Request) {
 		var req JoinRequestWire
 		if r.ContentLength != 0 {
-			if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-				httpError(w, http.StatusBadRequest, err)
+			if status, err := DecodeBody(w, r, &req); err != nil {
+				httpError(w, status, err)
 				return
 			}
 		}

@@ -114,10 +114,9 @@ func (c Config) withDefaults() Config {
 type JoinRequest struct {
 	// Method overrides the configured join method when non-zero.
 	Method join.Method
-	// Workers > 1 runs a ParallelJoin with that many workers.
+	// Workers > 1 runs a ParallelJoin with that many workers on the
+	// dynamic task queue.
 	Workers int
-	// Strategy selects the parallel partition strategy (Workers > 1 only).
-	Strategy join.PartitionStrategy
 	// BufferBytes overrides the configured LRU budget when non-zero.
 	BufferBytes int
 	// Predicate selects the join condition; the zero value runs the
@@ -354,9 +353,8 @@ func (s *Server) Join(ctx context.Context, req JoinRequest) (*JoinResponse, erro
 		var err error
 		if req.Workers > 1 {
 			res, err = join.ParallelJoin(e.tree, s.cfg.S, join.ParallelOptions{
-				Options:  opts,
-				Workers:  req.Workers,
-				Strategy: req.Strategy,
+				Options: opts,
+				Workers: req.Workers,
 			})
 		} else {
 			res, err = join.Join(e.tree, s.cfg.S, opts)

@@ -241,17 +241,12 @@ type ParallelJoinOptions = join.ParallelOptions
 // workers.
 type PartitionStrategy = join.PartitionStrategy
 
-// Partition strategies: the dynamic shared queue, the three deterministic
-// schedules (round-robin dealing, greedy LPT bin packing over cost-model
-// estimates, and Hilbert-ordered contiguous spatial regions) and the
-// locality-preserving work-stealing scheduler (per-worker spatial region
-// queues rebalanced at run time by tail-half steals).
+// Partition strategies: the dynamic shared queue (the default, fastest on
+// wall clock) and the deterministic schedule of Hilbert-ordered contiguous
+// spatial regions (the fewest disk reads).
 const (
-	DynamicPartition    = join.PartitionDynamic
-	RoundRobinPartition = join.PartitionRoundRobin
-	LPTPartition        = join.PartitionLPT
-	SpatialPartition    = join.PartitionSpatial
-	StealingPartition   = join.PartitionStealing
+	DynamicPartition = join.PartitionDynamic
+	SpatialPartition = join.PartitionSpatial
 )
 
 // ParallelTreeJoin computes the MBR-spatial-join with several workers, each

@@ -45,7 +45,7 @@ func TestFacadeTreeJoinWorkflow(t *testing.T) {
 	}
 }
 
-func TestFacadeStealingJoinAndCatalogStats(t *testing.T) {
+func TestFacadeSpatialJoinAndCatalogStats(t *testing.T) {
 	streets := GenerateDataset(DatasetConfig{Kind: Streets, Count: 3000, Seed: 6})
 	rivers := GenerateDataset(DatasetConfig{Kind: Rivers, Count: 3000, Seed: 7})
 	r, err := BuildRTree(RTreeOptions{PageSize: PageSize1K}, streets, true)
@@ -69,14 +69,14 @@ func TestFacadeStealingJoinAndCatalogStats(t *testing.T) {
 	par, err := ParallelTreeJoin(r, s, ParallelJoinOptions{
 		Options:           JoinOptions{Method: SpatialJoin4, BufferBytes: 128 << 10},
 		Workers:           4,
-		Strategy:          StealingPartition,
+		Strategy:          SpatialPartition,
 		MinTasksPerWorker: 4,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if par.Count != seq.Count {
-		t.Fatalf("stealing join found %d pairs, sequential %d", par.Count, seq.Count)
+		t.Fatalf("spatial join found %d pairs, sequential %d", par.Count, seq.Count)
 	}
 	SortJoinPairs(par.Pairs)
 	SortJoinPairs(seq.Pairs)
@@ -85,8 +85,8 @@ func TestFacadeStealingJoinAndCatalogStats(t *testing.T) {
 			t.Fatalf("pair %d differs: %v vs %v", i, par.Pairs[i], seq.Pairs[i])
 		}
 	}
-	if len(par.WorkerSteals) != len(par.WorkerMetrics) {
-		t.Fatalf("WorkerSteals has %d entries for %d workers", len(par.WorkerSteals), len(par.WorkerMetrics))
+	if len(par.WorkerEstSeconds) != len(par.WorkerMetrics) {
+		t.Fatalf("WorkerEstSeconds has %d entries for %d workers", len(par.WorkerEstSeconds), len(par.WorkerMetrics))
 	}
 	for w, rate := range par.WorkerBufferHitRates() {
 		if rate != rate || rate < 0 || rate > 1 {
