@@ -23,7 +23,8 @@
 //
 // Error mapping: a shard failing after retries yields 502 with the failed
 // shard names; if every shard was shedding, the router sheds too (503 with
-// the largest shard Retry-After); a deadline maps to 504.
+// the largest shard Retry-After); a deadline maps to 504; a malformed
+// predicate maps to 400.
 package main
 
 import (
@@ -43,6 +44,7 @@ import (
 	"syscall"
 	"time"
 
+	"repro/internal/join"
 	"repro/internal/router"
 	"repro/internal/server"
 	"repro/internal/zorder"
@@ -60,7 +62,6 @@ func main() {
 type routerFlags struct {
 	addr          string
 	shardURLs     []string
-	statsTTL      time.Duration
 	deadline      time.Duration
 	retries       int
 	backoff       time.Duration
@@ -74,7 +75,6 @@ func parseFlags(args []string) (routerFlags, error) {
 	var shards string
 	fs.StringVar(&cfg.addr, "addr", ":7460", "listen address")
 	fs.StringVar(&shards, "shards", "", "comma-separated shard base URLs (ranges are learned from each shard's /stats)")
-	fs.DurationVar(&cfg.statsTTL, "stats-ttl", 2*time.Second, "coverage summary cache TTL")
 	fs.DurationVar(&cfg.deadline, "deadline", 30*time.Second, "per-attempt shard request timeout")
 	fs.IntVar(&cfg.retries, "retries", 3, "attempts per shard request before the shard counts as failed")
 	fs.DurationVar(&cfg.backoff, "backoff", 50*time.Millisecond, "first retry delay (doubles per attempt)")
@@ -171,7 +171,6 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	rt, err := router.New(router.Config{
 		Shards:        shards,
 		Client:        client,
-		StatsTTL:      cfg.statsTTL,
 		ShardTimeout:  cfg.deadline,
 		RetryAttempts: cfg.retries,
 		RetryBackoff:  cfg.backoff,
@@ -274,7 +273,8 @@ func newHandler(rt *router.Router) http.Handler {
 // writeRouterError maps the router's typed errors onto gateway semantics:
 // every shard shedding means the deployment is overloaded, so the router
 // sheds too (503 with the largest shard Retry-After); any other partial
-// fan-out is a 502 naming the failed shards; a deadline is a 504.
+// fan-out is a 502 naming the failed shards; a deadline is a 504; a
+// malformed predicate is the client's fault, a 400, as on a shard daemon.
 func writeRouterError(w http.ResponseWriter, err error) {
 	var perr *router.PartialError
 	switch {
@@ -295,6 +295,8 @@ func writeRouterError(w http.ResponseWriter, err error) {
 			"failed":    shardNames(perr),
 			"succeeded": perr.Succeeded,
 		})
+	case errors.Is(err, join.ErrBadPredicate):
+		writeJSON(w, http.StatusBadRequest, map[string]string{"error": err.Error()})
 	case errors.Is(err, context.DeadlineExceeded):
 		writeJSON(w, http.StatusGatewayTimeout, map[string]string{"error": err.Error()})
 	default:

@@ -270,6 +270,33 @@ func TestAllShedMapsTo503(t *testing.T) {
 	}
 }
 
+// TestBadPredicateMapsTo400: a malformed predicate is the client's error.
+// The router rejects it with 400, as a shard daemon does, before any shard
+// sees the request.
+func TestBadPredicateMapsTo400(t *testing.T) {
+	var mu sync.Mutex
+	joins := 0
+	shards := stubShardPair(t, func(w http.ResponseWriter, r *http.Request) {
+		mu.Lock()
+		joins++
+		mu.Unlock()
+		http.Error(w, `{"error":"bad predicate"}`, http.StatusBadRequest)
+	})
+	rt, err := router.New(router.Config{Shards: shards, RetryAttempts: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := doJSON(t, newHandler(rt), "POST", "/join", map[string]string{"predicate": "knn:0"})
+	if w.Code != http.StatusBadRequest {
+		t.Fatalf("join with predicate knn:0: %d %s, want 400", w.Code, w.Body)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if joins != 0 {
+		t.Fatalf("bad predicate reached a shard %d time(s)", joins)
+	}
+}
+
 // syncBuffer lets the test read the daemon's log output while run() is
 // still writing it.
 type syncBuffer struct {

@@ -75,7 +75,4 @@ func TestBufferedBuildJoinsIdentical(t *testing.T) {
 			t.Fatalf("%v: parallel join over buffered-built tree diverged", strategy)
 		}
 	}
-	if walks := bufR.CatalogRecollections() + plainS.CatalogRecollections(); walks != 0 {
-		t.Fatalf("planning performed %d catalog recollection walks, want 0", walks)
-	}
 }

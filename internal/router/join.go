@@ -70,10 +70,6 @@ func (rt *Router) Join(ctx context.Context, req JoinRequest) (*JoinResult, error
 	if err != nil {
 		return nil, err
 	}
-	// Plan orders the fan-out longest-first; with goroutine fan-out the
-	// order matters only under client-side connection limits, but it costs
-	// nothing and keeps Plan the single source of routing truth.
-	plans := rt.PlanPredicate(ctx, rt.cfg.World, pred)
 
 	type shardJoin struct {
 		resp     server.JoinResponseWire
@@ -81,38 +77,31 @@ func (rt *Router) Join(ctx context.Context, req JoinRequest) (*JoinResult, error
 		wall     time.Duration
 		err      error
 	}
-	results := make(map[string]shardJoin, len(plans))
-	var mu sync.Mutex
+	results := make([]shardJoin, len(rt.shards))
 	var wg sync.WaitGroup
 	wire := server.JoinRequestWire{Method: req.Method, Workers: req.Workers, Predicate: req.Predicate, DiscardPairs: req.DiscardPairs}
-	for _, p := range plans {
+	for i, sh := range rt.shards {
 		wg.Add(1)
-		go func(sh Shard) {
+		go func(sj *shardJoin, sh Shard) {
 			defer wg.Done()
-			var sj shardJoin
 			start := rt.cfg.now()
 			sj.attempts, sj.err = rt.do(ctx, sh, http.MethodPost, "/join", wire, &sj.resp)
 			sj.wall = rt.cfg.now().Sub(start)
 			if sj.err == nil && !req.DiscardPairs {
-				if err := verifySorted(sj.resp.Pairs); err != nil {
-					sj.err = err
-				}
+				sj.err = verifySorted(sj.resp.Pairs)
 			}
-			mu.Lock()
-			results[sh.Name] = sj
-			mu.Unlock()
-		}(p.Shard)
+		}(&results[i], sh)
 	}
 	wg.Wait()
 
 	// Assemble in shard (key-range) order so outcomes, merge input order
-	// and tie-breaks are all deterministic whatever the plan order was.
+	// and tie-breaks are all deterministic.
 	var perr PartialError
 	outcomes := make([]ShardOutcome, 0, len(rt.shards))
 	streams := make([][][2]int32, 0, len(rt.shards))
 	total := 0
-	for _, sh := range rt.shards {
-		sj := results[sh.Name]
+	for i, sh := range rt.shards {
+		sj := results[i]
 		if sj.err != nil {
 			perr.Failures = append(perr.Failures, &ShardError{Shard: sh.Name, Err: sj.err})
 			continue
@@ -275,9 +264,9 @@ func (rt *Router) Round(ctx context.Context) error {
 	return nil
 }
 
-// Stats fetches a fresh stats snapshot from every shard (feeding the TTL
-// cache as a side effect) keyed by shard name.  Shards that fail to answer
-// are reported in a *PartialError alongside the snapshots that succeeded.
+// Stats fetches a fresh stats snapshot from every shard, keyed by shard
+// name.  Shards that fail to answer are reported in a *PartialError
+// alongside the snapshots that succeeded.
 func (rt *Router) Stats(ctx context.Context) (map[string]server.StatsWire, error) {
 	out := make(map[string]server.StatsWire, len(rt.shards))
 	var mu sync.Mutex
@@ -295,9 +284,6 @@ func (rt *Router) Stats(ctx context.Context) (map[string]server.StatsWire, error
 			mu.Lock()
 			out[sh.Name] = wire
 			mu.Unlock()
-			rt.mu.Lock()
-			rt.cache[sh.Name] = statsEntry{wire: wire, at: rt.cfg.now()}
-			rt.mu.Unlock()
 		}(i, sh)
 	}
 	wg.Wait()

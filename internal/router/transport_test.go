@@ -7,15 +7,14 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
-	"repro/internal/geom"
-	"repro/internal/server"
 	"repro/internal/zorder"
 )
 
-// The stub tests pin the retry and staleness policies against hand-rolled
+// The stub tests pin the retry and fan-out policies against hand-rolled
 // shard handlers, where every response code and header is scripted.
 
 // stubShard serves h as a single shard owning the whole key space.
@@ -58,7 +57,6 @@ func TestDoHonoursRetryAfterCapped(t *testing.T) {
 		}
 		okJoin(w)
 	})
-	mux.HandleFunc("GET /stats", func(w http.ResponseWriter, r *http.Request) { fmt.Fprint(w, `{}`) })
 
 	rec := &sleepRecorder{}
 	rt, err := New(Config{
@@ -95,7 +93,6 @@ func TestDoBacksOffOn5xx(t *testing.T) {
 		}
 		okJoin(w)
 	})
-	mux.HandleFunc("GET /stats", func(w http.ResponseWriter, r *http.Request) { fmt.Fprint(w, `{}`) })
 
 	rec := &sleepRecorder{}
 	rt, err := New(Config{
@@ -129,7 +126,6 @@ func TestDoTreats4xxAsPermanent(t *testing.T) {
 		hits++
 		http.Error(w, `{"error":"no such method"}`, http.StatusBadRequest)
 	})
-	mux.HandleFunc("GET /stats", func(w http.ResponseWriter, r *http.Request) { fmt.Fprint(w, `{}`) })
 
 	rec := &sleepRecorder{}
 	rt, err := New(Config{Shards: []Shard{stubShard(t, mux)}, RetryAttempts: 3, sleep: rec.sleep})
@@ -157,7 +153,6 @@ func TestDoRejectsUnsortedShardStream(t *testing.T) {
 		w.Header().Set("Content-Type", "application/json")
 		fmt.Fprint(w, `{"epoch":1,"count":2,"pairs":[[2,1],[1,2]]}`)
 	})
-	mux.HandleFunc("GET /stats", func(w http.ResponseWriter, r *http.Request) { fmt.Fprint(w, `{}`) })
 
 	rt, err := New(Config{Shards: []Shard{stubShard(t, mux)}, RetryAttempts: 1})
 	if err != nil {
@@ -169,129 +164,42 @@ func TestDoRejectsUnsortedShardStream(t *testing.T) {
 	}
 }
 
-// TestStatsTTLAndStaleFallback: Plan serves coverage from the TTL cache,
-// refreshes it once expired, and — when the shard stops answering /stats —
-// keeps planning with the stale summary rather than dropping the shard.
-func TestStatsTTLAndStaleFallback(t *testing.T) {
-	var mu sync.Mutex
-	statsHits, failStats := 0, false
+// TestJoinSendsNoStats: a join fans straight out to every shard's /join.
+// A shard whose /stats hangs must not delay it, so the join finishes well
+// inside one ShardTimeout and never asks for /stats at all.
+func TestJoinSendsNoStats(t *testing.T) {
+	var statsHits, joinHits atomic.Int32
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /stats", func(w http.ResponseWriter, r *http.Request) {
-		mu.Lock()
-		statsHits++
-		fail := failStats
-		mu.Unlock()
-		if fail {
-			http.Error(w, "down", http.StatusInternalServerError)
-			return
-		}
-		w.Header().Set("Content-Type", "application/json")
-		fmt.Fprint(w, `{"coverage":{"Epoch":3,"PageSize":1024,"RItems":42,"SItems":7}}`)
+		statsHits.Add(1)
+		<-r.Context().Done()
+	})
+	mux.HandleFunc("POST /join", func(w http.ResponseWriter, r *http.Request) {
+		joinHits.Add(1)
+		okJoin(w)
 	})
 
-	now := time.Unix(1000, 0)
-	rt, err := New(Config{
-		Shards:   []Shard{stubShard(t, mux)},
-		StatsTTL: 10 * time.Second,
-		now:      func() time.Time { return now },
-	})
+	rt, err := New(Config{Shards: []Shard{stubShard(t, mux)}, ShardTimeout: 300 * time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}
-	ctx := context.Background()
-
-	check := func(label string, wantHits int, wantFresh bool) {
-		t.Helper()
-		plans := rt.Plan(ctx, server.UnitWorld)
-		if len(plans) != 1 {
-			t.Fatalf("%s: planned %d shards, want 1", label, len(plans))
-		}
-		p := plans[0]
-		if p.Coverage.RItems != 42 || p.Coverage.Epoch != 3 {
-			t.Fatalf("%s: coverage = %+v, want the stub's summary", label, p.Coverage)
-		}
-		if p.StatsFresh != wantFresh {
-			t.Fatalf("%s: StatsFresh = %v, want %v", label, p.StatsFresh, wantFresh)
-		}
-		if p.Est.TotalSeconds() <= 0 {
-			t.Fatalf("%s: no cost estimate from coverage", label)
-		}
-		mu.Lock()
-		defer mu.Unlock()
-		if statsHits != wantHits {
-			t.Fatalf("%s: %d stats fetches, want %d", label, statsHits, wantHits)
-		}
-	}
-
-	check("first plan", 1, true)
-	now = now.Add(5 * time.Second)
-	check("within TTL", 1, true) // cache hit, no refetch
-	now = now.Add(6 * time.Second)
-	check("expired", 2, true) // TTL passed, refetched
-	mu.Lock()
-	failStats = true
-	mu.Unlock()
-	now = now.Add(11 * time.Second)
-	check("stale fallback", 3, false) // refresh failed, stale summary kept
-}
-
-// TestPlanOrdersByEstimatedCost: with fresh coverage from both shards, the
-// plan starts the expensive one first — the fan-out's critical path.
-func TestPlanOrdersByEstimatedCost(t *testing.T) {
-	shardStub := func(name string, items int) Shard {
-		mux := http.NewServeMux()
-		mux.HandleFunc("GET /stats", func(w http.ResponseWriter, r *http.Request) {
-			w.Header().Set("Content-Type", "application/json")
-			fmt.Fprintf(w, `{"coverage":{"Epoch":1,"PageSize":1024,"RItems":%d,"SItems":100}}`, items)
-		})
-		ts := httptest.NewServer(mux)
-		t.Cleanup(ts.Close)
-		return Shard{Name: name, URL: ts.URL}
-	}
-	half := zorder.KeySpace / 2
-	small := shardStub("small", 10)
-	small.Range = zorder.KeyRange{Lo: 0, Hi: half}
-	big := shardStub("big", 10000)
-	big.Range = zorder.KeyRange{Lo: half, Hi: zorder.KeySpace}
-
-	rt, err := New(Config{Shards: []Shard{small, big}})
+	start := time.Now()
+	res, err := rt.Join(context.Background(), JoinRequest{})
+	elapsed := time.Since(start)
 	if err != nil {
 		t.Fatal(err)
 	}
-	plans := rt.Plan(context.Background(), server.UnitWorld)
-	if len(plans) != 2 || plans[0].Shard.Name != "big" {
-		t.Fatalf("plan order = %v, want the big shard first", []string{plans[0].Shard.Name, plans[1].Shard.Name})
+	if res.Count != 1 {
+		t.Fatalf("count = %d, want the stub's 1 pair", res.Count)
 	}
-}
-
-// TestPlanPrunesOnlyWithExtentBound: key-range pruning needs the
-// MaxItemExtent promise; without it every window fans out to every shard.
-func TestPlanPrunesOnlyWithExtentBound(t *testing.T) {
-	shards := make([]Shard, 4)
-	for i, kr := range zorder.UniformKeyRanges(4) {
-		// Unreachable URLs: planning must not require live shards.
-		shards[i] = Shard{Name: fmt.Sprintf("s%d", i), URL: fmt.Sprintf("http://127.0.0.1:1/s%d", i), Range: kr}
+	if elapsed > 150*time.Millisecond {
+		t.Fatalf("join took %v against a hung /stats, want under 150ms", elapsed)
 	}
-	corner := geom.Rect{XL: 0.01, YL: 0.01, XU: 0.02, YU: 0.02}
-
-	rt, err := New(Config{Shards: shards, ShardTimeout: 50 * time.Millisecond})
-	if err != nil {
-		t.Fatal(err)
+	if n := statsHits.Load(); n != 0 {
+		t.Fatalf("join sent %d /stats request(s), want 0", n)
 	}
-	if got := len(rt.Plan(context.Background(), corner)); got != 4 {
-		t.Fatalf("unbounded extents: planned %d shards, want all 4", got)
-	}
-
-	rt2, err := New(Config{Shards: shards, MaxItemExtent: 0.05, ShardTimeout: 50 * time.Millisecond})
-	if err != nil {
-		t.Fatal(err)
-	}
-	pruned := rt2.Plan(context.Background(), corner)
-	if len(pruned) == 0 || len(pruned) >= 4 {
-		t.Fatalf("bounded extents: planned %d shards for a corner window, want a strict subset", len(pruned))
-	}
-	if got := len(rt2.Plan(context.Background(), server.UnitWorld)); got != 4 {
-		t.Fatalf("whole-world window: planned %d shards, want all 4", got)
+	if n := joinHits.Load(); n != 1 {
+		t.Fatalf("join sent %d /join request(s), want 1", n)
 	}
 }
 

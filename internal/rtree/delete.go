@@ -36,8 +36,8 @@ func (t *Tree) Delete(rect geom.Rect, data int32) bool {
 
 	// Shrink the tree while the root is a directory node with one child.
 	for !t.root.IsLeaf() && len(t.root.Entries) == 1 {
-		t.maintRemoveNode(t.root)
-		t.maintEntries(t.root.Level, -1)
+		t.catalog.maint.removeNode(t.root)
+		t.catalog.maint.addEntries(t.root.Level, -1)
 		t.root = t.root.Entries[0].Child
 		t.height--
 	}
@@ -51,10 +51,10 @@ func (t *Tree) deleteRec(n *Node, rect geom.Rect, data int32, orphans *[]pending
 		for i, e := range n.Entries {
 			if e.Data == data && e.Rect.Equal(rect) {
 				n.Entries = append(n.Entries[:i], n.Entries[i+1:]...)
-				t.maintEntries(n.Level, -1)
+				t.catalog.maint.addEntries(n.Level, -1)
 				// Deletes never split, so without this the reservoir would
 				// keep describing the removed geometry indefinitely.
-				t.maintResample(n)
+				t.catalog.maint.refresh(n)
 				return true
 			}
 		}
@@ -79,10 +79,10 @@ func (t *Tree) deleteRec(n *Node, rect geom.Rect, data int32, orphans *[]pending
 			for _, ce := range child.Entries {
 				*orphans = append(*orphans, pendingEntry{entry: ce, level: child.Level})
 			}
-			t.maintRemoveNode(child)
-			t.maintEntries(child.Level, -len(child.Entries))
+			t.catalog.maint.removeNode(child)
+			t.catalog.maint.addEntries(child.Level, -len(child.Entries))
 			n.Entries = append(n.Entries[:i], n.Entries[i+1:]...)
-			t.maintEntries(n.Level, -1)
+			t.catalog.maint.addEntries(n.Level, -1)
 		} else {
 			n.Entries[i].Rect = child.MBR()
 		}

@@ -55,8 +55,8 @@ func (t *Tree) insertEntry(e Entry, level int) {
 	)
 	t.root = newRoot
 	t.height++
-	t.maintAddNode(newRoot)
-	t.maintEntries(newRoot.Level, 2)
+	t.catalog.maint.addNode(newRoot)
+	t.catalog.maint.addEntries(newRoot.Level, 2)
 }
 
 // insertRec descends from n to the target level, inserts the entry and
@@ -65,7 +65,7 @@ func (t *Tree) insertEntry(e Entry, level int) {
 func (t *Tree) insertRec(n *Node, e Entry, level int) (Entry, bool) {
 	if n.Level == level {
 		n.Entries = append(n.Entries, e)
-		t.maintEntries(n.Level, 1)
+		t.catalog.maint.addEntries(n.Level, 1)
 		if n.Level == 0 {
 			// Remember the leaf that received the entry: the insertion
 			// buffer seeds its next descent from it (see insertbuf.go).
@@ -78,7 +78,7 @@ func (t *Tree) insertRec(n *Node, e Entry, level int) (Entry, bool) {
 		n.Entries[idx].Rect = child.MBR()
 		if ok {
 			n.Entries = append(n.Entries, split)
-			t.maintEntries(n.Level, 1)
+			t.catalog.maint.addEntries(n.Level, 1)
 		}
 	}
 	if len(n.Entries) > t.maxEnt {
@@ -221,8 +221,8 @@ func (t *Tree) forcedReinsert(n *Node) bool {
 	for _, d := range dists[p:] {
 		n.Entries = append(n.Entries, d.e)
 	}
-	t.maintEntries(n.Level, -p)
-	t.maintResample(n)
+	t.catalog.maint.addEntries(n.Level, -p)
+	t.catalog.maint.refresh(n)
 	// Close reinsert: queue the removed entries ordered by increasing
 	// distance from the centre.
 	for i := len(removed) - 1; i >= 0; i-- {

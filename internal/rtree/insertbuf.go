@@ -251,14 +251,14 @@ func (b *InsertBuffer) applyOne(it Item) {
 		b.hint.Entries = append(b.hint.Entries, Entry{Rect: it.Rect, Data: it.Data})
 		t.size++
 		t.muts++
-		t.maintEntries(0, 1)
+		t.catalog.maint.addEntries(0, 1)
 		b.hintEpoch = t.muts
 		b.hintHits++
 		if b.hintHits%hintResampleEvery == 0 {
 			// Long hint runs bypass the split path that normally refreshes
 			// leaf samples; an amortised resample keeps the reservoir's leaf
 			// shape statistics tracking the churn.
-			t.maintResample(b.hint)
+			t.catalog.maint.refresh(b.hint)
 		}
 		t.invalidateCatalog()
 		return
@@ -274,7 +274,7 @@ func (b *InsertBuffer) applyOne(it Item) {
 		// Refresh the leaf's reservoir sample while it is hot; an O(fan-out)
 		// summary against a full descent is noise, and it keeps the sampled
 		// statistics tracking churn-heavy workloads.
-		t.maintResample(b.hint)
+		t.catalog.maint.refresh(b.hint)
 	}
 	b.hintEpoch = t.muts
 }

@@ -32,13 +32,10 @@ func walkPopulations(t *Tree) (nodes, entries []int64) {
 }
 
 // checkMaintained asserts that the maintained catalog matches the walk on the
-// exact populations and that no recollection walk happened.
+// exact populations.
 func checkMaintained(t *testing.T, tr *Tree, label string) {
 	t.Helper()
 	cat := tr.CatalogStats()
-	if got := tr.CatalogRecollections(); got != 0 {
-		t.Fatalf("%s: CatalogStats performed %d recollection walks, want 0", label, got)
-	}
 	nodes, entries := walkPopulations(tr)
 	if tr.Len() == 0 {
 		if cat.Valid() {
@@ -165,48 +162,6 @@ func TestMaintainedCatalogAfterBulkLoadMutations(t *testing.T) {
 	}
 }
 
-// TestCatalogMaintenanceAblation pins the recollection behaviour both ways:
-// with maintenance off every mutation forces a from-scratch walk on the next
-// CatalogStats; switching maintenance back on rebuilds the counters once and
-// then stays walk-free.
-func TestCatalogMaintenanceAblation(t *testing.T) {
-	tr := MustNew(Options{PageSize: storage.PageSize1K})
-	items := sampleItems(1200, 5)
-	for _, it := range items {
-		tr.Insert(it.Rect, it.Data)
-	}
-	if got := tr.CatalogRecollections(); got != 0 {
-		t.Fatalf("maintained tree performed %d walks, want 0", got)
-	}
-	tr.SetCatalogMaintenance(false)
-	tr.CatalogStats()
-	if got := tr.CatalogRecollections(); got != 1 {
-		t.Fatalf("ablated tree performed %d walks after first CatalogStats, want 1", got)
-	}
-	// Cached until the next mutation; then one more walk.
-	tr.CatalogStats()
-	tr.Insert(items[0].Rect, 99001)
-	tr.CatalogStats()
-	if got := tr.CatalogRecollections(); got != 2 {
-		t.Fatalf("ablated tree performed %d walks after mutation, want 2", got)
-	}
-	// Back on: one rebuild walk happens inside SetCatalogMaintenance (not
-	// counted as a CatalogStats stall), then mutations stay walk-free.
-	tr.SetCatalogMaintenance(true)
-	tr.Insert(items[1].Rect, 99002)
-	cat := tr.CatalogStats()
-	if got := tr.CatalogRecollections(); got != 2 {
-		t.Fatalf("re-enabled tree performed %d walks, want 2", got)
-	}
-	nodes, entries := walkPopulations(tr)
-	for l, stat := range cat.Levels {
-		if stat.Nodes != nodes[l] || stat.Entries != entries[l] {
-			t.Fatalf("re-enabled level %d: maintained %d/%d, walk %d/%d",
-				l, stat.Nodes, stat.Entries, nodes[l], entries[l])
-		}
-	}
-}
-
 // TestMaintainedSamplesTrackChurn: the sampled shape averages must keep
 // tracking the live tree under delete/buffered-insert churn — deletes and
 // long hint runs refresh the reservoir, so the sampled mean leaf fan-out
@@ -229,9 +184,6 @@ func TestMaintainedSamplesTrackChurn(t *testing.T) {
 	}
 	buf.Flush()
 	cat := tr.CatalogStats()
-	if got := tr.CatalogRecollections(); got != 0 {
-		t.Fatalf("churn caused %d recollection walks, want 0", got)
-	}
 	leaf := cat.Levels[0]
 	trueFanout := float64(leaf.Entries) / float64(leaf.Nodes)
 	if rel := math.Abs(leaf.AvgFanout-trueFanout) / trueFanout; rel > 0.25 {

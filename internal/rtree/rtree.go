@@ -201,7 +201,7 @@ func New(opts Options) (*Tree, error) {
 	}
 	t.root = t.newNode(0)
 	t.initCatalogMaintenance()
-	t.maintAddNode(t.root)
+	t.catalog.maint.addNode(t.root)
 	return t, nil
 }
 

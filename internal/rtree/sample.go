@@ -16,16 +16,16 @@ import (
 // the reservoirs (on node creation and re-shaping), so CatalogStats never has
 // to walk the tree.  The exact counters track the true per-level populations
 // bit-exactly (maintain_test.go pins this against from-scratch walks after
-// randomized mutation sequences, together with the no-walk counter
-// assertion); the sampled shape averages are refreshed whenever a node is
-// created, split, re-inserted from, deleted from, or fed a long hint run
-// (every hintResampleEvery-th buffered append).  Plain-insert appends between
-// splits are the one deliberate refresh gap: they are the construction hot
-// loop, and a split refreshes both halves every ~M/2 of them.
+// randomized mutation sequences); the sampled shape averages are refreshed
+// whenever a node is created, split, re-inserted from, deleted from, or fed
+// a long hint run (every hintResampleEvery-th buffered append).
+// Plain-insert appends between splits are the one deliberate refresh gap:
+// they are the construction hot loop, and a split refreshes both halves
+// every ~M/2 of them.
 //
-// The from-scratch sampling walk of PR 4 survives only behind the
-// SetCatalogMaintenance(false) ablation and is counted by Recollections so
-// callers can pin its absence.
+// A from-scratch sampling walk rebuilds the maintained state only when a
+// persisted tree is loaded.
+//
 // Collection is read-only observation: it never changes the tree shape, so
 // the structural parity goldens are unaffected.
 
@@ -63,7 +63,7 @@ type levelSampler struct {
 }
 
 // catalogSampler samples a whole tree, one reservoir per level.  It is both
-// the scratch state of the from-scratch sampling walk and the persistent
+// the scratch state of the load-time sampling walk and the persistent
 // maintained state of a live tree.
 type catalogSampler struct {
 	rng    uint64
@@ -254,18 +254,13 @@ type catalogCache struct {
 	valid bool // the assembled cat below matches the maintained counters
 	cat   costmodel.Catalog
 
-	maint      catalogSampler // incrementally maintained statistics
-	maintValid bool           // counters are trustworthy (every mutation hooked)
-	maintOff   bool           // SetCatalogMaintenance(false) ablation switch
-
-	recollects int // from-scratch sampling walks performed by CatalogStats
+	maint catalogSampler // incrementally maintained statistics
 }
 
 // initCatalogMaintenance starts maintained statistics on an empty tree;
 // New calls it before the first node is counted.
 func (t *Tree) initCatalogMaintenance() {
 	t.catalog.maint = catalogSampler{rng: catalogSeed}
-	t.catalog.maintValid = true
 }
 
 // invalidateCatalog marks the assembled catalog stale; every mutation calls
@@ -276,48 +271,12 @@ func (t *Tree) invalidateCatalog() {
 	t.catalog.valid = false
 }
 
-// Maintenance hooks.  Each is a no-op when maintenance is off (the ablation)
-// or the maintained state is invalid, so the mutation paths stay correct in
-// every mode.
-
-// maintAddNode records a newly created, fully assembled node.
-func (t *Tree) maintAddNode(n *Node) {
-	if t.catalog.maintValid {
-		t.catalog.maint.addNode(n)
-	}
-}
-
-// maintRemoveNode records a node dissolved by CondenseTree or a root shrink.
-func (t *Tree) maintRemoveNode(n *Node) {
-	if t.catalog.maintValid {
-		t.catalog.maint.removeNode(n)
-	}
-}
-
-// maintEntries adjusts one level's exact entry count.
-func (t *Tree) maintEntries(level, delta int) {
-	if t.catalog.maintValid {
-		t.catalog.maint.addEntries(level, delta)
-	}
-}
-
-// maintResample refreshes the reservoir sample of a node whose shape just
-// changed — a split survivor, a node that shed entries to forced
-// re-insertion or a delete, or a leaf under a hint run.  Refresh-in-place
-// only: nodes that lost their admission lottery at creation stay out.
-func (t *Tree) maintResample(n *Node) {
-	if t.catalog.maintValid {
-		t.catalog.maint.refresh(n)
-	}
-}
-
 // setCatalog installs freshly collected statistics as both the maintained
 // state and the assembled catalog.  The bulk loaders call it with the sampler
-// they fed during packing; the persistence loader and the recollection
-// fallback call it with a walk sampler.
+// they fed during packing; the persistence loader calls it with a walk
+// sampler.
 func (t *Tree) setCatalog(cs *catalogSampler) {
 	t.catalog.maint = *cs
-	t.catalog.maintValid = !t.catalog.maintOff
 	t.catalog.cat = cs.catalog(t.opts.PageSize, t.height)
 	t.catalog.valid = true
 }
@@ -335,62 +294,17 @@ func (t *Tree) adoptWalkSampler() {
 	t.setCatalog(cs)
 }
 
-// SetCatalogMaintenance switches incremental catalog maintenance on or off.
-// It is on for every tree; switching it off makes CatalogStats fall back to
-// the PR-4 behaviour — a from-scratch sampling walk on first use after any
-// mutation — and exists so the experiments can ablate the recollection
-// stalls.  Switching maintenance back on performs one walk to rebuild the
-// counters.
-func (t *Tree) SetCatalogMaintenance(enabled bool) {
-	t.catalog.mu.Lock()
-	defer t.catalog.mu.Unlock()
-	t.catalog.maintOff = !enabled
-	if !enabled {
-		t.catalog.maintValid = false
-		t.catalog.valid = false
-		return
-	}
-	if !t.catalog.maintValid {
-		t.adoptWalkSampler()
-	}
-}
-
-// CatalogRecollections returns how many from-scratch sampling walks
-// CatalogStats has performed on this tree.  With maintenance on (the
-// default) it stays 0 whatever the mutation sequence — the update-workload
-// tests and experiments pin exactly that.
-func (t *Tree) CatalogRecollections() int {
-	t.catalog.mu.Lock()
-	defer t.catalog.mu.Unlock()
-	return t.catalog.recollects
-}
-
 // CatalogStats returns the tree's sampled catalog statistics.  The exact
 // per-level node and entry populations are maintained incrementally by every
 // mutation path, so after any insert/delete/bulk-load sequence the catalog is
-// assembled from O(height) counters without touching the tree's pages; only
-// trees with maintenance disabled (the ablation) recollect by a from-scratch
-// reservoir-sampling walk.  The sampling RNG is deterministically seeded, so
+// assembled from O(height) counters without touching the tree's pages.  The
+// sampling RNG is deterministically seeded, so
 // identical construction sequences always yield identical statistics (and
 // therefore identical schedules downstream).
 func (t *Tree) CatalogStats() costmodel.Catalog {
 	t.catalog.mu.Lock()
 	defer t.catalog.mu.Unlock()
 	if t.catalog.valid {
-		return t.catalog.cat
-	}
-	if !t.catalog.maintValid {
-		// Only reachable with maintenance disabled: every construction path
-		// (New, the bulk loaders, Load) establishes maintained state, and
-		// SetCatalogMaintenance(true) rebuilds it before returning.  The
-		// ablation recollects by a from-scratch sampling walk and caches the
-		// result until the next mutation — the stall the maintained mode
-		// (whose recollection counter stays 0) exists to remove.
-		t.catalog.recollects++
-		cs := newCatalogSampler()
-		t.walk(t.root, cs.observe)
-		t.catalog.cat = cs.catalog(t.opts.PageSize, t.height)
-		t.catalog.valid = true
 		return t.catalog.cat
 	}
 	if t.size == 0 {

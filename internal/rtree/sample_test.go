@@ -136,7 +136,7 @@ func TestCatalogStatsDeterministic(t *testing.T) {
 }
 
 // TestCatalogStatsInvalidation: mutations must invalidate the cache, and the
-// lazily recollected statistics must describe the mutated tree.
+// lazily reassembled statistics must describe the mutated tree.
 func TestCatalogStatsInvalidation(t *testing.T) {
 	tr := MustNew(Options{PageSize: storage.PageSize1K})
 	items := sampleItems(800, 3)

@@ -70,13 +70,10 @@ func (t *Tree) Snapshot() *Tree {
 		size:   t.size,
 		file:   t.file,
 	}
+	// The catalog is frozen: snapshots are never mutated, so nothing ever
+	// invalidates it and CatalogStats never reads the (empty) sampler.
 	snap.catalog.cat = cat
 	snap.catalog.valid = true
-	// The snapshot must never fall back to a maintained-sampler read or a
-	// recollection walk (its catalog is frozen), and its mutation hooks are
-	// unreachable because snapshots are not mutated.
-	snap.catalog.maintValid = false
-	snap.catalog.maintOff = true
 
 	t.cowEpoch++
 	t.muts++ // invalidate leaf hints: their leaf is now shared

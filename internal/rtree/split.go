@@ -16,8 +16,8 @@ func (t *Tree) splitNode(n *Node) Entry {
 	}
 	sibling := t.newNode(n.Level)
 	sibling.Entries = second
-	t.maintAddNode(sibling)
-	t.maintResample(n)
+	t.catalog.maint.addNode(sibling)
+	t.catalog.maint.refresh(n)
 	return Entry{Rect: sibling.MBR(), Child: sibling}
 }
 

@@ -520,12 +520,9 @@ func (s *Server) markBroken(err error) {
 // CurrentEpoch returns the published epoch's sequence number.
 func (s *Server) CurrentEpoch() uint64 { return s.cur.Load().seq }
 
-// Coverage summarises what the published snapshot holds: item counts, the
-// churned relation's MBR, and both trees' sampled catalog statistics.  It is
-// the per-shard summary a query router plans with — enough to run the
-// sweep-selectivity cost estimate remotely without touching a page — and it
-// is advisory only: a router must never prune a shard on coverage (the next
-// round may move the MBR), only order and budget its fan-out with it.
+// Coverage summarises what the published snapshot holds: item counts and
+// the churned relation's MBR.  GET /stats serves it for shard discovery and
+// operators; the router fans every join out to every shard regardless.
 type Coverage struct {
 	// Epoch is the snapshot generation the summary was read from.
 	Epoch uint64
@@ -535,16 +532,12 @@ type Coverage struct {
 	RItems int
 	// RMBR is R's root MBR (zero when R is empty).
 	RMBR geom.Rect
-	// RCatalog holds R's sampled catalog statistics.
-	RCatalog costmodel.Catalog
 	// SItems is the number of rectangles in the static relation S.
 	SItems int
-	// SCatalog holds S's sampled catalog statistics.
-	SCatalog costmodel.Catalog
 }
 
 // Coverage returns the current epoch's coverage summary.  It pins the epoch
-// only while reading the catalogs, so it never blocks a round flip.
+// only while reading it, so it never blocks a round flip.
 func (s *Server) Coverage() Coverage {
 	e := s.pin()
 	defer s.unpin(e)
@@ -552,9 +545,7 @@ func (s *Server) Coverage() Coverage {
 		Epoch:    e.seq,
 		PageSize: e.tree.PageSize(),
 		RItems:   e.tree.Len(),
-		RCatalog: e.tree.CatalogStats(),
 		SItems:   s.cfg.S.Len(),
-		SCatalog: s.cfg.S.CatalogStats(),
 	}
 	if e.tree.Len() > 0 {
 		cov.RMBR = e.tree.Root().MBR()

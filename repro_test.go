@@ -130,9 +130,6 @@ func TestFacadeBufferedInsertion(t *testing.T) {
 	if cat := tr.CatalogStats(); !cat.Valid() || cat.DataEntries() != int64(tr.Len()) {
 		t.Fatalf("catalog stats stale after updates: %+v", cat)
 	}
-	if walks := tr.CatalogRecollections(); walks != 0 {
-		t.Fatalf("CatalogStats performed %d recollection walks, want 0", walks)
-	}
 }
 
 func TestFacadeWindowQuery(t *testing.T) {
