@@ -35,7 +35,6 @@ import (
 	"log"
 	"math/rand"
 	"net"
-	"net/http"
 	"os"
 	"os/signal"
 	"sync"
@@ -122,7 +121,7 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	defer closeStorage()
 
 	handler := server.NewHandler(srv, server.HandlerConfig{Shard: cfg.shard})
-	httpSrv := &http.Server{Addr: cfg.addr, Handler: handler, ReadHeaderTimeout: server.ReadHeaderTimeout}
+	httpSrv := server.NewHTTPServer(cfg.addr, handler)
 	ln, err := net.Listen("tcp", cfg.addr)
 	if err != nil {
 		return err

@@ -183,7 +183,7 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		logger.Printf("shard %s owns %s", sh.URL, sh.Range)
 	}
 
-	httpSrv := &http.Server{Addr: cfg.addr, Handler: newHandler(rt), ReadHeaderTimeout: server.ReadHeaderTimeout}
+	httpSrv := server.NewHTTPServer(cfg.addr, newHandler(rt))
 	ln, err := net.Listen("tcp", cfg.addr)
 	if err != nil {
 		return err
@@ -208,13 +208,31 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	return nil
 }
 
-// joinResponseWire is the router's POST /join response: the merged pair
+// appendJoinResponse appends the router's POST /join body: the merged pair
 // set plus the per-shard outcomes a client needs to reason about tail
-// latency and retries.
-type joinResponseWire struct {
-	Count  int                   `json:"count"`
-	Pairs  [][2]int32            `json:"pairs,omitempty"`
-	Shards []router.ShardOutcome `json:"shards"`
+// latency and retries.  The bytes are the ones json.Encoder writes for
+//
+//	struct {
+//		Count  int                   `json:"count"`
+//		Pairs  [][2]int32            `json:"pairs,omitempty"`
+//		Shards []router.ShardOutcome `json:"shards"`
+//	}
+//
+// with the pairs written by server.AppendPairs, as a shard writes its own.
+func appendJoinResponse(dst []byte, res *router.JoinResult) ([]byte, error) {
+	shards, err := json.Marshal(res.Shards)
+	if err != nil {
+		return nil, err
+	}
+	dst = append(dst, `{"count":`...)
+	dst = strconv.AppendInt(dst, int64(res.Count), 10)
+	if len(res.Pairs) > 0 {
+		dst = append(dst, `,"pairs":`...)
+		dst = server.AppendPairs(dst, res.Pairs)
+	}
+	dst = append(dst, `,"shards":`...)
+	dst = append(dst, shards...)
+	return append(dst, "}\n"...), nil
 }
 
 func newHandler(rt *router.Router) http.Handler {
@@ -257,7 +275,12 @@ func newHandler(rt *router.Router) http.Handler {
 			writeRouterError(w, err)
 			return
 		}
-		writeJSON(w, http.StatusOK, joinResponseWire{Count: res.Count, Pairs: res.Pairs, Shards: res.Shards})
+		body, err := appendJoinResponse(make([]byte, 0, 64+16*len(res.Pairs)), res)
+		if err != nil {
+			writeRouterError(w, err)
+			return
+		}
+		server.WriteBody(w, http.StatusOK, body)
 	})
 	mux.HandleFunc("GET /stats", func(w http.ResponseWriter, r *http.Request) {
 		stats, err := rt.Stats(r.Context())

@@ -89,6 +89,43 @@ func TestParseFlags(t *testing.T) {
 	}
 }
 
+// joinResponseWire mirrors the router's POST /join body with a plain
+// [][2]int32 pair list: tests decode into it, and encoding/json's output
+// for it is the reference for the hand-written body.
+type joinResponseWire struct {
+	Count  int                   `json:"count"`
+	Pairs  [][2]int32            `json:"pairs,omitempty"`
+	Shards []router.ShardOutcome `json:"shards"`
+}
+
+// TestJoinBodyMatchesEncodingJSON is the byte-identity wall for the router's
+// POST /join: the hand-written body must equal json.Encoder's output for the
+// mirror struct, with pairs (extreme identifiers included), without, and
+// with shard names encoding/json escapes.
+func TestJoinBodyMatchesEncodingJSON(t *testing.T) {
+	shards := []router.ShardOutcome{
+		{Shard: "shard0@http://127.0.0.1:7461", Epoch: 3, Count: 2, Attempts: 1, Wall: 1500 * time.Microsecond},
+		{Shard: "shard1@http://h/?a=<b>&c", Epoch: 1 << 40, Count: 1, Attempts: 3, Wall: time.Second},
+	}
+	for _, res := range []router.JoinResult{
+		{Count: 3, Pairs: [][2]int32{{-2147483648, 0}, {-1, 2147483647}, {7, 1_000_000}}, Shards: shards},
+		{Count: 3, Shards: shards},
+		{Count: 0, Pairs: [][2]int32{}, Shards: shards[:1]},
+	} {
+		got, err := appendJoinResponse(nil, &res)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var want bytes.Buffer
+		if err := json.NewEncoder(&want).Encode(joinResponseWire{Count: res.Count, Pairs: res.Pairs, Shards: res.Shards}); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want.Bytes()) {
+			t.Fatalf("body differs from encoding/json:\n got %q\nwant %q", got, want.Bytes())
+		}
+	}
+}
+
 // TestRouterEndToEnd drives the full path a deployment sees: key ranges
 // discovered from the shards' /stats, updates routed by centre key, a
 // round committed everywhere, and a join merged over both shards.  One S

@@ -212,14 +212,3 @@ func TestPartitionStrategyString(t *testing.T) {
 		}
 	}
 }
-
-func TestSortPairs(t *testing.T) {
-	pairs := []Pair{{R: 2, S: 1}, {R: 1, S: 2}, {R: 1, S: 1}, {R: 2, S: 0}}
-	SortPairs(pairs)
-	want := []Pair{{R: 1, S: 1}, {R: 1, S: 2}, {R: 2, S: 0}, {R: 2, S: 1}}
-	for i := range want {
-		if pairs[i] != want[i] {
-			t.Fatalf("pairs[%d] = %v, want %v", i, pairs[i], want[i])
-		}
-	}
-}

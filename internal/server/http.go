@@ -52,13 +52,16 @@ type JoinRequestWire struct {
 }
 
 // JoinResponseWire is the POST /join response.  Pairs are sorted by (R, S) —
-// the SortJoinPairs order — so a router can merge shard streams with a
-// sorted merge and any client sees a deterministic order.
+// the join.SortPairs order — so a router can merge shard streams with a
+// sorted merge and any client sees a deterministic order.  The handler
+// writes the body by hand (appendJoinResponse) in exactly the bytes
+// encoding/json would write for this struct; decoding goes through
+// encoding/json, with PairList parsing the pairs.
 type JoinResponseWire struct {
-	Epoch   uint64     `json:"epoch"`
-	Count   int        `json:"count"`
-	Retries int        `json:"retries,omitempty"`
-	Pairs   [][2]int32 `json:"pairs,omitempty"`
+	Epoch   uint64   `json:"epoch"`
+	Count   int      `json:"count"`
+	Retries int      `json:"retries,omitempty"`
+	Pairs   PairList `json:"pairs,omitempty"`
 }
 
 // StatsWire is the GET /stats response: the server counters, the snapshot's
@@ -96,6 +99,29 @@ const MaxBodyBytes = 8 << 20
 // for a request's headers, so an idle or trickling connection cannot hold a
 // server goroutine indefinitely.
 const ReadHeaderTimeout = 10 * time.Second
+
+// ReadTimeout bounds reading a whole request, headers and body: a
+// MaxBodyBytes body at under 300 KB/s.  It does not cut a handler short:
+// net/http clears the read deadline once the body has been read.
+const ReadTimeout = 30 * time.Second
+
+// IdleTimeout bounds how long a kept-alive connection may wait for its next
+// request.
+const IdleTimeout = 2 * time.Minute
+
+// NewHTTPServer returns the http.Server spatialjoind and spatialjoinrouter
+// listen with: h behind the header, read and idle timeouts above.  It sets
+// no WriteTimeout, because a join may legitimately run to its deadline and
+// the response is written only after that.
+func NewHTTPServer(addr string, h http.Handler) *http.Server {
+	return &http.Server{
+		Addr:              addr,
+		Handler:           h,
+		ReadHeaderTimeout: ReadHeaderTimeout,
+		ReadTimeout:       ReadTimeout,
+		IdleTimeout:       IdleTimeout,
+	}
+}
 
 // DecodeBody decodes the JSON request body, read through an
 // http.MaxBytesReader of MaxBodyBytes, into v.  On failure it also returns
@@ -184,18 +210,15 @@ func NewHandler(srv *Server, cfg HandlerConfig) http.Handler {
 			WriteJoinError(w, err)
 			return
 		}
-		out := JoinResponseWire{Epoch: resp.Epoch, Count: resp.Count, Retries: resp.Retries}
 		if !req.DiscardPairs {
 			// The worker split makes the in-memory order schedule-dependent;
 			// the wire order is pinned to (R, S) so shard responses merge
 			// deterministically.
 			join.SortPairs(resp.Pairs)
-			out.Pairs = make([][2]int32, len(resp.Pairs))
-			for i, p := range resp.Pairs {
-				out.Pairs[i] = [2]int32{p.R, p.S}
-			}
 		}
-		writeJSON(w, http.StatusOK, out)
+		// About 15 bytes a pair at the identifiers served today.
+		body := make([]byte, 0, 64+16*len(resp.Pairs))
+		WriteBody(w, http.StatusOK, appendJoinResponse(body, resp, !req.DiscardPairs))
 	})
 	mux.HandleFunc("GET /stats", func(w http.ResponseWriter, r *http.Request) {
 		out := StatsWire{
@@ -245,4 +268,11 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
 	json.NewEncoder(w).Encode(v)
+}
+
+// WriteBody answers with an already encoded JSON body.
+func WriteBody(w http.ResponseWriter, code int, body []byte) {
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(code)
+	w.Write(body)
 }
